@@ -1,33 +1,21 @@
 #include "anyk_cli.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
-#include <functional>
 #include <iostream>
-#include <optional>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include <thread>
-
-#include "anyk/explain.h"
 #include "anyk/factory.h"
-#include "anyk/prepared_query.h"
-#include "anyk/ranked_query.h"
-#include "anyk/sharded_query.h"
-#include "dioid/max_plus.h"
-#include "dioid/max_times.h"
-#include "dioid/min_max.h"
-#include "dioid/tropical.h"
+#include "anyk/query_handle.h"
 #include "query/sql.h"
 #include "storage/database.h"
 #include "storage/kernels.h"
@@ -35,6 +23,7 @@
 #include "util/checkpoints.h"
 #include "util/json.h"
 #include "util/logging.h"
+#include "util/parse.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -54,27 +43,6 @@ namespace {
 // --explain); v5 adds the sharding field (`shards`, --shards N).
 constexpr int kSchemaVersion = 5;
 
-const char* PlanName(QueryPlan plan) {
-  switch (plan) {
-    case QueryPlan::kAcyclicTree: return "acyclic-tree";
-    case QueryPlan::kCycleUnion: return "cycle-union";
-    case QueryPlan::kGenericJoinBatch: return "generic-join-batch";
-  }
-  return "?";
-}
-
-std::optional<Algorithm> AlgorithmFromName(std::string name) {
-  for (char& c : name) c = static_cast<char>(std::tolower(c));
-  if (name == "recursive" || name == "rec") return Algorithm::kRecursive;
-  if (name == "take2") return Algorithm::kTake2;
-  if (name == "lazy") return Algorithm::kLazy;
-  if (name == "eager") return Algorithm::kEager;
-  if (name == "all") return Algorithm::kAll;
-  if (name == "batch") return Algorithm::kBatch;
-  if (name == "auto") return Algorithm::kAuto;
-  return std::nullopt;
-}
-
 // ---------------------------------------------------------------------------
 // Measurement
 // ---------------------------------------------------------------------------
@@ -92,7 +60,7 @@ struct CliResult {
 };
 
 // One concurrent drain thread's view (--sessions N): its own TTF/TTL
-// measured from the moment the shared PreparedQuery was ready.
+// measured from the moment the shared query handle was ready.
 struct SessionReport {
   size_t produced = 0;
   double ttf_seconds = 0;
@@ -106,10 +74,6 @@ struct SessionReport {
   double ttl_seconds = 0;
   bool exhausted = false;
 };
-
-// Rows pulled per NextBatch call on the serving drains (amortizes virtual
-// dispatch and binds variables stage-wise; see Enumerator::NextBatch).
-constexpr size_t kDrainBatchRows = 64;
 
 struct RunReport {
   std::string plan;
@@ -140,169 +104,151 @@ struct RunReport {
   std::string explain_text;
 };
 
-using RowSink =
-    std::function<void(size_t k, double weight, const std::vector<Value>&)>;
+/// Serial drain: pull `stream` until `limit` answers (0 = all) or
+/// exhaustion, timing TTF / TT(k) / max delay. The first page is a single
+/// row so TTF stays exact; later pages take up to kPageRows rows but never
+/// cross the next TT(k) checkpoint or the limit, so checkpoint timestamps
+/// stay exact at their k. The clock is read once per page, after its rows
+/// arrive and before `sink` formats them, so max_delay is measured at page
+/// granularity (the gap between consecutive page arrivals).
+void DrainSerial(PageStream* stream, size_t limit,
+                 const std::vector<size_t>& cps, const RowFn& sink,
+                 const Timer& timer, RunReport* rep) {
+  // A page's arrival is stamped by its first row, before `sink` formats it.
+  // The wrapper captures one reference, which keeps it inside
+  // std::function's inline storage: building it allocates nothing.
+  struct Arrival {
+    const Timer& timer;
+    const RowFn& sink;
+    double now = 0;
+    bool stamped = false;
+  } page{timer, sink};
+  RowFn fn;
+  if (sink) {
+    fn = [&page](size_t rank, double weight, const std::vector<Value>& values) {
+      if (!page.stamped) {
+        page.now = page.timer.Seconds();
+        page.stamped = true;
+      }
+      page.sink(rank, weight, values);
+    };
+  }
+  size_t next_cp = 0;
+  double last = rep->preprocessing_seconds;
+  while (!stream->done() && (limit == 0 || rep->produced < limit)) {
+    size_t want = rep->produced == 0 ? 1 : kPageRows;
+    if (limit != 0) want = std::min(want, limit - rep->produced);
+    while (next_cp < cps.size() && cps[next_cp] <= rep->produced) ++next_cp;
+    if (next_cp < cps.size()) {
+      want = std::min(want, cps[next_cp] - rep->produced);
+    }
+    page.stamped = false;
+    const size_t got = stream->FetchPage(want, fn);
+    if (got == 0) break;
+    if (!page.stamped) page.now = timer.Seconds();
+    const double now = page.now;
+    rep->max_delay_seconds = std::max(rep->max_delay_seconds, now - last);
+    last = now;
+    if (rep->produced == 0) rep->ttf_seconds = now;
+    rep->produced += got;
+    if (next_cp < cps.size() && cps[next_cp] == rep->produced) {
+      rep->checkpoints.emplace_back(rep->produced, now);
+      ++next_cp;
+    }
+  }
+  rep->exhausted = stream->done();
+  rep->ttl_seconds = timer.Seconds();
+}
 
-/// Build the shared pipeline (charged to preprocessing, as in the paper) and
-/// pull answers until `limit` (0 = all), timing TTF / TT(k) / TTL. With
-/// `num_sessions` > 1, N threads each drain their own EnumerationSession of
-/// the one prepared query concurrently (no per-answer sink; per-session TTLs
-/// and the aggregate answers/sec land in the report instead). `shards` > 1
-/// hash-partitions the data and prepares S per-shard pipelines whose
-/// sessions merge through a ranked union (anyk/sharded_query.h); with
-/// `parallel_drain` each shard session additionally drains on its own
-/// worker thread. shards == 1 is the unsharded passthrough, byte-identical
-/// to the pre-sharding CLI.
-template <typename D>
-RunReport RunRanked(const Database& db, const SqlStatement& stmt,
-                    Algorithm algo, size_t limit,
-                    const std::vector<size_t>& cps, const RowSink& sink,
-                    ThreadPool* pool, size_t num_sessions, size_t shards,
-                    bool parallel_drain, bool want_explain,
-                    KernelKind kernels) {
+/// Concurrent drain (--sessions N): N threads each open their own stream of
+/// the one handle — inside the thread, so opening counts toward that
+/// session's TTF — and pull the full (limited) stream in pages, with no
+/// per-answer sink. Per-session TTF / TT(k) / TTL land in rep->sessions.
+void DrainSessions(const QueryHandle& handle, Algorithm algo, size_t limit,
+                   size_t num_sessions, const Timer& timer, RunReport* rep) {
+  rep->sessions.assign(num_sessions, {});
+  std::vector<std::thread> workers;
+  workers.reserve(num_sessions);
+  for (SessionReport& session : rep->sessions) {
+    workers.emplace_back([&handle, &timer, algo, limit, sr = &session] {
+      const std::unique_ptr<PageStream> stream = handle.Open(algo);
+      while (!stream->done() && (limit == 0 || sr->produced < limit)) {
+        // A first page of one row keeps the per-session TTF exact.
+        size_t want = sr->produced == 0 ? 1 : kPageRows;
+        if (limit != 0) want = std::min(want, limit - sr->produced);
+        const size_t got = stream->FetchPage(want, {});
+        if (got == 0) break;
+        sr->produced += got;
+        if (sr->produced == got) sr->ttf_seconds = timer.Seconds();
+        if (limit != 0 && sr->produced >= limit) {
+          sr->ttk_seconds = timer.Seconds();
+          sr->has_ttk = true;
+        }
+      }
+      sr->exhausted = stream->done();
+      sr->ttl_seconds = timer.Seconds();
+      if (!sr->has_ttk) sr->ttk_seconds = sr->ttl_seconds;
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  rep->exhausted = true;
+  bool have_ttf = false;
+  for (const SessionReport& sr : rep->sessions) {
+    rep->produced += sr.produced;
+    rep->exhausted = rep->exhausted && sr.exhausted;
+    // A session that produced nothing never stamped a TTF; folding its 0.0
+    // into the min would report a first answer that never arrived.
+    if (sr.produced > 0) {
+      rep->ttf_seconds =
+          have_ttf ? std::min(rep->ttf_seconds, sr.ttf_seconds)
+                   : sr.ttf_seconds;
+      have_ttf = true;
+    }
+    rep->ttl_seconds = std::max(rep->ttl_seconds, sr.ttl_seconds);
+  }
+  const double enum_wall = rep->ttl_seconds - rep->preprocessing_seconds;
+  rep->aggregate_answers_per_sec =
+      enum_wall > 0 ? static_cast<double>(rep->produced) / enum_wall : 0;
+}
+
+/// Prepare the statement into a query handle (charged to preprocessing, as
+/// in the paper) and drain it: serially through `sink`, or with
+/// `num_sessions` > 1 through that many concurrent streams.
+RunReport RunQuery(const Database& db, SqlStatement stmt,
+                   const std::string& dioid, Algorithm algo,
+                   const ShardedQueryOptions& qopts,
+                   const std::vector<size_t>& cps, const RowFn& sink,
+                   size_t num_sessions, bool want_explain) {
   RunReport rep;
   const AllocCounts at_start = CurrentAllocCounts();
   Timer timer;
-  typename ShardedPreparedQuery<D>::Options sopts;
-  typename PreparedQuery<D>::Options& qopts = sopts.prepare;
-  qopts.enum_opts.with_witness = false;
-  qopts.enum_opts.kernels = kernels;
-  // Budget-aware top-k fast path: --k / SQL LIMIT reaches every enumerator
-  // as EnumOptions::k_budget (bounded O(k) candidate heaps, batch partial
-  // sort) instead of merely truncating the drain loop below.
-  qopts.enum_opts.k_budget = limit;
-  qopts.pool = pool;
-  // `auto` also unlocks the planner's topology choice (join-tree root /
-  // stage order), not just the strategy pick.
-  qopts.auto_plan = algo == Algorithm::kAuto;
-  sopts.shards = shards;
-  sopts.parallel_drain = parallel_drain;
-  ShardedPreparedQuery<D> pq(db, stmt.query, sopts);
-  rep.plan = PlanName(pq.plan());
+  const std::unique_ptr<QueryHandle> handle =
+      MakeQueryHandle(db, std::move(stmt), dioid, qopts);
+  rep.plan = handle->plan_name();
   rep.resolved_algorithm = AlgorithmName(
-      algo == Algorithm::kAuto ? pq.decision().algorithm : algo);
-  rep.planner_summary = pq.decision().Summary();
-  // EXPLAIN shows shard 0's pipeline shape (all shards share it — only the
-  // data differs); the planner summary above is the cross-shard decision.
-  if (want_explain) rep.explain_text = Explain(pq.shard(0));
+      algo == Algorithm::kAuto ? handle->decision().algorithm : algo);
+  rep.planner_summary = handle->decision().Summary();
+  if (want_explain) rep.explain_text = handle->Explain();
 
   if (num_sessions > 1) {
     rep.preprocessing_seconds = timer.Seconds();
     const AllocCounts at_enum = CurrentAllocCounts();
     rep.preprocessing_allocs = AllocDelta(at_start, at_enum).news;
-    // Concurrent-drain mode: every session pulls the full (limited) stream
-    // through its own budgeted session, in batches.
-    rep.sessions.assign(num_sessions, {});
-    std::vector<std::thread> workers;
-    workers.reserve(num_sessions);
-    for (size_t s = 0; s < num_sessions; ++s) {
-      workers.emplace_back([&pq, &timer, &rep, algo, limit, s] {
-        SessionReport& sr = rep.sessions[s];
-        EnumerationSession<D> sess = pq.NewSession(algo);
-        std::vector<ResultRow<D>> batch(kDrainBatchRows);
-        bool done = false;
-        while (!done && (limit == 0 || sr.produced < limit)) {
-          size_t want = kDrainBatchRows;
-          if (sr.produced == 0) want = 1;  // exact per-session TTF
-          if (limit != 0) want = std::min(want, limit - sr.produced);
-          const size_t got = sess.NextBatch(batch.data(), want);
-          if (got < want) {
-            sr.exhausted = true;
-            done = true;
-          }
-          if (got == 0) break;
-          sr.produced += got;
-          if (sr.produced == got) sr.ttf_seconds = timer.Seconds();
-          if (limit != 0 && sr.produced >= limit) {
-            sr.ttk_seconds = timer.Seconds();
-            sr.has_ttk = true;
-          }
-        }
-        sr.ttl_seconds = timer.Seconds();
-        if (!sr.has_ttk) sr.ttk_seconds = sr.ttl_seconds;
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    rep.exhausted = true;
-    bool have_ttf = false;
-    for (const SessionReport& sr : rep.sessions) {
-      rep.produced += sr.produced;
-      rep.exhausted = rep.exhausted && sr.exhausted;
-      // A session that produced nothing never stamped a TTF; folding its 0.0
-      // into the min would report a first answer that never arrived.
-      if (sr.produced > 0) {
-        rep.ttf_seconds =
-            have_ttf ? std::min(rep.ttf_seconds, sr.ttf_seconds)
-                     : sr.ttf_seconds;
-        have_ttf = true;
-      }
-      rep.ttl_seconds = std::max(rep.ttl_seconds, sr.ttl_seconds);
-    }
-    const double enum_wall = rep.ttl_seconds - rep.preprocessing_seconds;
-    rep.aggregate_answers_per_sec =
-        enum_wall > 0 ? static_cast<double>(rep.produced) / enum_wall : 0;
+    DrainSessions(*handle, algo, handle->limit(), num_sessions, timer, &rep);
     rep.enumeration_allocs = AllocDelta(at_enum, CurrentAllocCounts()).news;
     rep.peak_rss_kb = PeakRssKb();
     return rep;
   }
 
-  // Serial path: session construction (enumerator, arena reserve) counts as
-  // preprocessing, like the paper charges it — and like the pre-split CLI
-  // measured it — so enumeration_allocs keeps meaning "allocations while
-  // answers stream" and stays 0 for the arena-backed plans.
-  EnumerationSession<D> session = pq.NewSession(algo);
+  // Serial path: opening the stream (enumerator, arena reserve) counts as
+  // preprocessing, like the paper charges it, so enumeration_allocs keeps
+  // meaning "allocations while answers stream" and stays 0 for the
+  // arena-backed plans.
+  const std::unique_ptr<PageStream> stream = handle->Open(algo);
   rep.preprocessing_seconds = timer.Seconds();
   const AllocCounts at_enum = CurrentAllocCounts();
   rep.preprocessing_allocs = AllocDelta(at_start, at_enum).news;
-  std::vector<Value> projected;
-  std::vector<ResultRow<D>> batch(kDrainBatchRows);
-  size_t next_cp = 0;
-  double last = rep.preprocessing_seconds;
-  bool done = false;
-  while (!done && (limit == 0 || rep.produced < limit)) {
-    // Batch size: never cross the next TT(k) checkpoint or the --k limit,
-    // so checkpoint timestamps stay exact at their k; the first pull is a
-    // single row so TTF stays exact too. max_delay is measured at batch
-    // granularity (the gap between consecutive NextBatch returns).
-    size_t want = kDrainBatchRows;
-    if (rep.produced == 0) want = 1;
-    if (limit != 0) want = std::min(want, limit - rep.produced);
-    while (next_cp < cps.size() && cps[next_cp] <= rep.produced) ++next_cp;
-    if (next_cp < cps.size()) {
-      want = std::min(want, cps[next_cp] - rep.produced);
-    }
-    const size_t got = session.NextBatch(batch.data(), want);
-    if (got < want) {
-      rep.exhausted = true;
-      done = true;
-    }
-    if (got == 0) break;
-    const double now = timer.Seconds();
-    rep.max_delay_seconds = std::max(rep.max_delay_seconds, now - last);
-    last = now;
-    if (rep.produced == 0) rep.ttf_seconds = now;
-    rep.produced += got;
-    if (next_cp < cps.size() && cps[next_cp] == rep.produced) {
-      rep.checkpoints.emplace_back(rep.produced, now);
-      ++next_cp;
-    }
-    if (sink) {
-      for (size_t b = 0; b < got; ++b) {
-        const ResultRow<D>& row = batch[b];
-        const std::vector<Value>* values = &row.assignment;
-        if (!stmt.select_vars.empty()) {
-          projected.clear();
-          for (uint32_t v : stmt.select_vars) {
-            projected.push_back(row.assignment[v]);
-          }
-          values = &projected;
-        }
-        sink(rep.produced - got + b + 1, static_cast<double>(row.weight),
-             *values);
-      }
-    }
-  }
-  rep.ttl_seconds = timer.Seconds();
+  DrainSerial(stream.get(), handle->limit(), cps, sink, timer, &rep);
   rep.enumeration_allocs = AllocDelta(at_enum, CurrentAllocCounts()).news;
   rep.peak_rss_kb = PeakRssKb();
   if (rep.produced > 0 && (rep.checkpoints.empty() ||
@@ -366,7 +312,8 @@ void WriteTextReport(std::ostream& out, const RunReport& rep) {
 void WriteJsonReport(std::ostream& out, const CliOptions& opt,
                      bool print_results,
                      const std::vector<LoadedRelation>& rels,
-                     const SqlStatement& stmt, const std::string& algorithm,
+                     const std::vector<std::string>& columns,
+                     const std::string& algorithm,
                      const std::string& dioid, size_t limit,
                      const std::vector<CliResult>& results,
                      const RunReport& rep) {
@@ -399,7 +346,7 @@ void WriteJsonReport(std::ostream& out, const CliOptions& opt,
   }
   w.EndArray();
   w.Key("columns").BeginArray();
-  for (const std::string& c : ColumnNames(stmt)) w.String(c);
+  for (const std::string& c : columns) w.String(c);
   w.EndArray();
   if (print_results) {
     w.Key("results").BeginArray();
@@ -450,25 +397,6 @@ void WriteJsonReport(std::ostream& out, const CliOptions& opt,
   w.EndObject();  // timings
   w.EndObject();
   w.Finish();
-}
-
-// ---------------------------------------------------------------------------
-// Flag parsing
-// ---------------------------------------------------------------------------
-
-bool ParseSize(const std::string& s, size_t* out) {
-  // Digits only: strtoull would silently wrap "-3" to a huge value.
-  if (s.empty() ||
-      !std::all_of(s.begin(), s.end(),
-                   [](unsigned char c) { return std::isdigit(c); })) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
-  *out = static_cast<size_t>(v);
-  return true;
 }
 
 }  // namespace
@@ -619,7 +547,7 @@ bool ParseCliArgs(int argc, char** argv, CliOptions* opt, std::string* error) {
       opt->query = text.str();
     } else if (is_flag(a, "--algorithm")) {
       if (!value_of(&i, "--algorithm", &v)) return false;
-      if (!AlgorithmFromName(v)) {
+      if (!ParseAlgorithm(v)) {
         *error = "unknown algorithm '" + v +
                  "' (expected recursive|take2|lazy|eager|all|batch|auto)";
         return false;
@@ -761,32 +689,22 @@ int RunCli(const CliOptions& opt) {
   // Preprocessing worker pool (--threads); null-equivalent when 1.
   ThreadPool pool(opt.threads);
 
-  // Load relations — in parallel with --threads > 1: each worker parses its
-  // file into a private shard database (CsvLoader CHECK failures throw and
-  // ParallelFor rethrows the first one here), then the shards merge
-  // serially in declaration order so diagnostics stay deterministic.
+  // Load relations — in parallel with --threads > 1 (storage/csv.h).
   Database db;
+  LoadRelationsCsv(&db, opt.relations, opt.csv, &pool);
   std::vector<LoadedRelation> rels;
-  {
-    std::vector<Database> shards(opt.relations.size());
-    ParallelFor(&pool, opt.relations.size(), [&](size_t i) {
-      LoadRelationCsv(&shards[i], opt.relations[i].name,
-                      opt.relations[i].path, opt.csv);
-    });
-    for (size_t i = 0; i < opt.relations.size(); ++i) {
-      const Relation& rel = db.AddRelation(
-          std::move(shards[i].GetMutable(opt.relations[i].name)));
-      rels.push_back({opt.relations[i].name, opt.relations[i].path,
-                      rel.NumRows(), rel.arity()});
-    }
+  for (const CsvRelation& r : opt.relations) {
+    const Relation& rel = db.Get(r.name);
+    rels.push_back({r.name, r.path, rel.NumRows(), rel.arity()});
   }
 
   // Parse the SQL against the database (arities become known).
   SqlStatement stmt = ParseSql(opt.query, &db);
   const size_t limit = opt.has_k ? opt.k : stmt.limit;
-  const Algorithm algo = *AlgorithmFromName(opt.algorithm);
+  const Algorithm algo = *ParseAlgorithm(opt.algorithm);
   std::string dioid = opt.dioid;
   if (dioid.empty()) dioid = stmt.ascending ? "min-sum" : "max-sum";
+  const std::vector<std::string> columns = ColumnNames(stmt);
 
   const std::vector<size_t> cps =
       opt.checkpoints.empty()
@@ -804,7 +722,7 @@ int RunCli(const CliOptions& opt) {
         << " limit=" << limit << " threads=" << opt.threads << " sessions="
         << opt.sessions << " shards=" << opt.shards << "\n";
     out << "# columns: k,weight";
-    for (const std::string& c : ColumnNames(stmt)) out << "," << c;
+    for (const std::string& c : columns) out << "," << c;
     out << "\n";
   }
 
@@ -814,7 +732,7 @@ int RunCli(const CliOptions& opt) {
   const bool print_results = opt.print_results && opt.sessions <= 1;
   std::vector<CliResult> results;
   char weight_buf[32];
-  RowSink sink;
+  RowFn sink;
   if (print_results && text) {
     sink = [&](size_t k, double weight, const std::vector<Value>& values) {
       std::snprintf(weight_buf, sizeof(weight_buf), "%.6g", weight);
@@ -828,31 +746,26 @@ int RunCli(const CliOptions& opt) {
     };
   }
 
-  KernelKind kernels = KernelKind::kAuto;
-  ParseKernelKind(opt.kernels, &kernels);  // validated at flag-parse time
+  ShardedQueryOptions qopts;
+  // --kernels was validated at flag-parse time.
+  ParseKernelKind(opt.kernels, &qopts.prepare.enum_opts.kernels);
+  // Budget-aware top-k fast path: --k / SQL LIMIT reaches every enumerator
+  // as EnumOptions::k_budget (bounded O(k) candidate heaps, batch partial
+  // sort) instead of merely truncating the drain loop.
+  qopts.prepare.enum_opts.k_budget = limit;
+  qopts.prepare.pool = &pool;
+  // `auto` also unlocks the planner's topology choice (join-tree root /
+  // stage order), not just the strategy pick.
+  qopts.prepare.auto_plan = algo == Algorithm::kAuto;
+  // shards > 1 hash-partitions the data into S per-shard pipelines whose
+  // streams merge through a ranked union (anyk/sharded_query.h); with
+  // worker threads too, each shard session drains on its own worker (same
+  // output bytes as the serial merge).
+  qopts.shards = opt.shards;
+  qopts.parallel_drain = opt.threads > 1 && opt.shards > 1;
 
-  // With both worker threads and shards, the merged drain also runs one
-  // worker per shard session (same output bytes as the serial merge).
-  const bool parallel_drain = opt.threads > 1 && opt.shards > 1;
-
-  RunReport rep;
-  if (dioid == "min-sum") {
-    rep = RunRanked<TropicalDioid>(db, stmt, algo, limit, cps, sink, &pool,
-                                   opt.sessions, opt.shards, parallel_drain,
-                                   opt.explain, kernels);
-  } else if (dioid == "max-sum") {
-    rep = RunRanked<MaxPlusDioid>(db, stmt, algo, limit, cps, sink, &pool,
-                                  opt.sessions, opt.shards, parallel_drain,
-                                  opt.explain, kernels);
-  } else if (dioid == "min-max") {
-    rep = RunRanked<MinMaxDioid>(db, stmt, algo, limit, cps, sink, &pool,
-                                 opt.sessions, opt.shards, parallel_drain,
-                                 opt.explain, kernels);
-  } else {
-    rep = RunRanked<MaxTimesDioid>(db, stmt, algo, limit, cps, sink, &pool,
-                                   opt.sessions, opt.shards, parallel_drain,
-                                   opt.explain, kernels);
-  }
+  const RunReport rep = RunQuery(db, std::move(stmt), dioid, algo, qopts, cps,
+                                 sink, opt.sessions, opt.explain);
 
   if (text) {
     out << "# plan=" << rep.plan << "\n";
@@ -861,8 +774,8 @@ int RunCli(const CliOptions& opt) {
     if (!rep.explain_text.empty()) WriteCommented(out, rep.explain_text);
     WriteTextReport(out, rep);
   } else {
-    WriteJsonReport(out, opt, print_results, rels, stmt, AlgorithmName(algo),
-                    dioid, limit, results, rep);
+    WriteJsonReport(out, opt, print_results, rels, columns,
+                    AlgorithmName(algo), dioid, limit, results, rep);
   }
   return 0;
 }

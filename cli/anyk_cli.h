@@ -2,8 +2,10 @@
 // the paper-dialect SQL (src/query/sql.h), pick an any-k algorithm
 // (Eager/Lazy/All/Take2/Recursive/Batch, or `auto` for the cost-based
 // planner) and a selective dioid, and stream ranked answers with TTF /
-// TT(k) / TTL timings in text or JSON. --explain prints the plan and the
-// planner decision (src/anyk/explain.h) before the timings.
+// TT(k) / TTL timings in text or JSON. Statement to ranked pages goes
+// through the library's dioid-erased QueryHandle (src/anyk/query_handle.h),
+// the same one anykd serves from. --explain prints the plan and the planner
+// decision (src/anyk/explain.h) before the timings.
 //
 // Split from main() so the option parser and runner are linkable from tests;
 // the binary itself is cli/anyk_main.cc.
@@ -20,13 +22,8 @@
 namespace anyk {
 namespace cli {
 
-struct RelationSpec {
-  std::string name;
-  std::string path;
-};
-
 struct CliOptions {
-  std::vector<RelationSpec> relations;
+  std::vector<CsvRelation> relations;  // --relation NAME=FILE.csv
   std::string query;            // SQL text (from --query or --query-file)
   std::string algorithm = "lazy";
   std::string dioid;            // empty: derived from ORDER BY direction

@@ -5,7 +5,6 @@
 #include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <exception>
 #include <string>
@@ -16,6 +15,7 @@
 #include "storage/csv.h"
 #include "storage/database.h"
 #include "util/logging.h"
+#include "util/parse.h"
 #include "util/thread_pool.h"
 
 #ifndef ANYK_VERSION
@@ -66,15 +66,6 @@ const char* UsageText() {
       "Exit codes: 0 clean shutdown, 1 runtime error, 2 usage error.\n";
 }
 
-bool ParseSize(const std::string& s, size_t* out) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-  }
-  *out = static_cast<size_t>(std::strtoull(s.c_str(), nullptr, 10));
-  return true;
-}
-
 // from_chars, not strtod: strtod honors the process locale, so a daemon
 // started under e.g. LC_NUMERIC=de_DE would silently misread "--qps 0.5".
 // Same policy as the CSV weight parser (src/storage/csv.cc).
@@ -89,7 +80,7 @@ bool ParseNonNegativeDouble(const std::string& s, double* out) {
 }
 
 struct DaemonOptions {
-  std::vector<std::pair<std::string, std::string>> relations;
+  std::vector<anyk::CsvRelation> relations;
   anyk::CsvOptions csv;
   anyk::server::ServerOptions server;
   bool show_help = false;
@@ -120,7 +111,7 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* opt, std::string* error) {
   auto size_flag = [&](size_t* i, const std::string& flag, size_t* out) {
     std::string v;
     if (!value_of(i, flag, &v)) return false;
-    if (!ParseSize(v, out)) {
+    if (!anyk::ParseSize(v, out)) {
       *error = flag + " expects a non-negative integer, got '" + v + "'";
       return false;
     }
@@ -231,7 +222,7 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* opt, std::string* error) {
         opt->csv.weight_column = -1;
       } else {
         size_t col = 0;
-        if (!ParseSize(v, &col) || col == 0) {
+        if (!anyk::ParseSize(v, &col) || col == 0) {
           *error = "--weight-column expects a 1-based index, 'last' or "
                    "'none', got '" + v + "'";
           return false;
@@ -256,24 +247,17 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* opt, std::string* error) {
 }
 
 int RunDaemon(const DaemonOptions& opt) {
-  // Parallel shard load, merged in declaration order — same recipe as the
-  // CLI so both tools agree on what a dataset means.
+  // The CLI's load recipe (storage/csv.h), so both tools agree on what a
+  // dataset means.
   anyk::Database db;
   {
     anyk::ThreadPool pool(opt.server.prepare_threads);
-    std::vector<anyk::Database> shards(opt.relations.size());
-    anyk::ParallelFor(&pool, opt.relations.size(), [&](size_t i) {
-      anyk::LoadRelationCsv(&shards[i], opt.relations[i].first,
-                            opt.relations[i].second, opt.csv);
-    });
-    for (size_t i = 0; i < opt.relations.size(); ++i) {
-      const anyk::Relation& rel = db.AddRelation(
-          std::move(shards[i].GetMutable(opt.relations[i].first)));
-      std::fprintf(stderr, "anykd: loaded %s: %s (rows=%zu, arity=%zu)\n",
-                   opt.relations[i].first.c_str(),
-                   opt.relations[i].second.c_str(), rel.NumRows(),
-                   rel.arity());
-    }
+    anyk::LoadRelationsCsv(&db, opt.relations, opt.csv, &pool);
+  }
+  for (const anyk::CsvRelation& r : opt.relations) {
+    const anyk::Relation& rel = db.Get(r.name);
+    std::fprintf(stderr, "anykd: loaded %s: %s (rows=%zu, arity=%zu)\n",
+                 r.name.c_str(), r.path.c_str(), rel.NumRows(), rel.arity());
   }
 
   anyk::server::AnykServer srv(std::move(db), opt.server);

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "anyk/ranked_query.h"
+#include "anyk/sharded_query.h"
 #include "dp/stage_graph.h"
 #include "plan/planner.h"
 
@@ -32,8 +33,9 @@ GraphStatsSummary SummarizeGraph(const StageGraph<D>& g) {
   return s;
 }
 
+/// EXPLAIN of `pq`'s plan shape and sizes, with the planner lines of `d`.
 template <SelectiveDioid D>
-std::string Explain(const PreparedQuery<D>& pq) {
+std::string Explain(const PreparedQuery<D>& pq, const plan::PlanDecision& d) {
   std::ostringstream out;
   switch (pq.plan()) {
     case QueryPlan::kAcyclicTree:
@@ -53,7 +55,6 @@ std::string Explain(const PreparedQuery<D>& pq) {
         << " bag rows, " << s.states << " surviving states, " << s.connectors
         << " connectors\n";
   }
-  const plan::PlanDecision& d = pq.decision();
   out << "planner: " << d.Summary() << "\n";
   out << "  topology: " << (d.auto_topology ? "planner-chosen (auto)"
                                             : "construction order")
@@ -63,6 +64,23 @@ std::string Explain(const PreparedQuery<D>& pq) {
       << d.stats.max_fanout << (d.stats.serial() ? " (serial chain)" : "")
       << "\n";
   return out.str();
+}
+
+template <SelectiveDioid D>
+std::string Explain(const PreparedQuery<D>& pq) {
+  return Explain(pq, pq.decision());
+}
+
+/// All shards share one pipeline shape (only the data differs): the shape
+/// and sizes shown are shard 0's, labeled as such when S > 1, while the
+/// planner lines are the cross-shard decision every session runs.
+template <SelectiveDioid D>
+std::string Explain(const ShardedPreparedQuery<D>& pq) {
+  if (pq.NumShards() == 1) return Explain(pq.shard(0), pq.decision());
+  return "shards: " + std::to_string(pq.NumShards()) +
+         " (plan shape and sizes below are shard 0's; the planner decision "
+         "is merged across shards)\n" +
+         Explain(pq.shard(0), pq.decision());
 }
 
 template <SelectiveDioid D>

@@ -9,7 +9,9 @@
 #ifndef ANYK_ANYK_FACTORY_H_
 #define ANYK_ANYK_FACTORY_H_
 
+#include <cctype>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,6 +49,23 @@ inline const char* AlgorithmName(Algorithm a) {
     case Algorithm::kAuto: return "Auto";
   }
   return "?";
+}
+
+/// The user-facing spelling of an algorithm (case-insensitive: recursive |
+/// rec | take2 | lazy | eager | all | batch | auto), as accepted by the
+/// CLI's --algorithm and the server's algorithm=; nullopt when unknown.
+inline std::optional<Algorithm> ParseAlgorithm(std::string name) {
+  for (char& c : name) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  if (name == "recursive" || name == "rec") return Algorithm::kRecursive;
+  if (name == "take2") return Algorithm::kTake2;
+  if (name == "lazy") return Algorithm::kLazy;
+  if (name == "eager") return Algorithm::kEager;
+  if (name == "all") return Algorithm::kAll;
+  if (name == "batch") return Algorithm::kBatch;
+  if (name == "auto") return Algorithm::kAuto;
+  return std::nullopt;
 }
 
 /// The five any-k algorithms (no batch variants, no auto).

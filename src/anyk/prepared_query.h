@@ -55,6 +55,16 @@ namespace anyk {
 
 enum class QueryPlan { kAcyclicTree, kCycleUnion, kGenericJoinBatch };
 
+/// The plan's name in reports (CLI `plan=`, server PLAN line and /statz).
+inline const char* PlanName(QueryPlan plan) {
+  switch (plan) {
+    case QueryPlan::kAcyclicTree: return "acyclic-tree";
+    case QueryPlan::kCycleUnion: return "cycle-union";
+    case QueryPlan::kGenericJoinBatch: return "generic-join-batch";
+  }
+  return "?";
+}
+
 /// Cursor over a shared, pre-sorted result vector (the generic-join batch
 /// fallback). The rows are owned by the PreparedQuery and never change;
 /// each session only advances its own cursor.
@@ -122,29 +132,32 @@ class EnumerationSession {
   std::unique_ptr<Enumerator<D>> enumerator_;
 };
 
+/// How a PreparedQuery<D> is built; no field depends on the dioid.
+struct PrepareOptions {
+  // Session defaults (NewSession overloads can override per session). The
+  // generic-join fallback materializes witnesses according to this value
+  // at prepare time, so it applies to every session of that plan.
+  EnumOptions enum_opts;
+  // Filter consecutive duplicates at the union level (only meaningful for
+  // overlapping decompositions; the simple-cycle one is disjoint).
+  bool dedup_union = false;
+  CycleDecompositionOptions cycle_opts;
+  // Preprocessing parallelism (not owned; may be null = serial). Only
+  // used during construction — the PreparedQuery keeps no reference.
+  ThreadPool* pool = nullptr;
+  // Cost-based planning (docs/PLANNER.md): when true, the prepare phase
+  // also chooses the join-tree root/orientation and stage order from
+  // relation cardinalities (plan::PlanTopology) instead of the fixed
+  // construction order. The strategy + heap-arity decision is computed
+  // either way (the statistics are free) and cached in decision();
+  // NewSession(Algorithm::kAuto) applies it.
+  bool auto_plan = false;
+};
+
 template <SelectiveDioid D = TropicalDioid>
 class PreparedQuery {
  public:
-  struct Options {
-    // Session defaults (NewSession overloads can override per session). The
-    // generic-join fallback materializes witnesses according to this value
-    // at prepare time, so it applies to every session of that plan.
-    EnumOptions enum_opts;
-    // Filter consecutive duplicates at the union level (only meaningful for
-    // overlapping decompositions; the simple-cycle one is disjoint).
-    bool dedup_union = false;
-    CycleDecompositionOptions cycle_opts;
-    // Preprocessing parallelism (not owned; may be null = serial). Only
-    // used during construction — the PreparedQuery keeps no reference.
-    ThreadPool* pool = nullptr;
-    // Cost-based planning (docs/PLANNER.md): when true, the prepare phase
-    // also chooses the join-tree root/orientation and stage order from
-    // relation cardinalities (plan::PlanTopology) instead of the fixed
-    // construction order. The strategy + heap-arity decision is computed
-    // either way (the statistics are free) and cached in decision();
-    // NewSession(Algorithm::kAuto) applies it.
-    bool auto_plan = false;
-  };
+  using Options = PrepareOptions;
 
   PreparedQuery(const Database& db, const ConjunctiveQuery& q,
                 Options opts = {})

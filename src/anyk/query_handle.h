@@ -1,0 +1,197 @@
+// QueryHandle: the one dioid-erased path from a parsed SQL statement to
+// ranked pages, shared by the `anyk` CLI and the `anykd` server.
+//
+// MakeQueryHandle prepares the statement under the named selective dioid
+// into a ShardedPreparedQuery<D> (a passthrough around one PreparedQuery<D>
+// when S == 1; S per-shard pipelines merged per stream otherwise, see
+// anyk/sharded_query.h). The handle is immutable and shared read-only: the
+// server caches one per normalized statement, the CLI builds one per run.
+// Open() starts a PageStream — an EnumerationSession plus its page buffer
+// and projection / rank bookkeeping — confined to one thread at a time;
+// any number of streams of one handle may run concurrently.
+//
+// anyk-lint: allow-file(heap-hot-path): the handle, its prepared query and
+// each stream are allocated once, at prepare and stream-open time. FetchPage
+// only reuses the stream's page buffer, which grows and never shrinks
+// (invariants_test pins that mixed page sizes allocate no more than a
+// constant one).
+
+#ifndef ANYK_ANYK_QUERY_HANDLE_H_
+#define ANYK_ANYK_QUERY_HANDLE_H_
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "anyk/explain.h"
+#include "anyk/factory.h"
+#include "anyk/prepared_query.h"
+#include "anyk/sharded_query.h"
+#include "dioid/max_plus.h"
+#include "dioid/max_times.h"
+#include "dioid/min_max.h"
+#include "dioid/tropical.h"
+#include "plan/planner.h"
+#include "query/sql.h"
+#include "storage/database.h"
+#include "storage/value.h"
+#include "util/logging.h"
+
+namespace anyk {
+
+/// Called once per answer of a page, in rank order. `rank` is 1-based and
+/// global across the stream's pages; `values` follow the SELECT list (all
+/// variables when there is none).
+using RowFn =
+    std::function<void(size_t rank, double weight, const std::vector<Value>&)>;
+
+/// The smallest page buffer a stream allocates: pages of up to this many
+/// rows never grow it.
+inline constexpr size_t kPageRows = 64;
+
+/// One ranked answer stream, paged. Not thread-safe — the owner serializes
+/// access.
+class PageStream {
+ public:
+  virtual ~PageStream() = default;
+
+  /// Pull up to `n` answers, invoking `fn` for each unless it is empty.
+  /// Returns how many were produced; a short count means the stream is
+  /// exhausted (done()), after which it returns 0.
+  virtual size_t FetchPage(size_t n, const RowFn& fn) = 0;
+
+  virtual bool done() const = 0;
+  /// Answers produced so far (the rank of the last one).
+  virtual size_t produced() const = 0;
+};
+
+/// A prepared statement behind a dioid-erased interface. Immutable after
+/// construction; Open() may be called concurrently from any thread.
+class QueryHandle {
+ public:
+  virtual ~QueryHandle() = default;
+  /// Open an independent stream. Algorithm::kAuto resolves to decision().
+  /// The stream reads the handle's prepared state: it must not outlive it.
+  virtual std::unique_ptr<PageStream> Open(Algorithm algo) const = 0;
+  virtual const char* plan_name() const = 0;
+  /// The top-k budget every stream runs under (the prepare options'
+  /// EnumOptions::k_budget); 0 = unbounded.
+  virtual size_t limit() const = 0;
+  /// The prepare-time planner decision, merged across shards: what
+  /// Algorithm::kAuto runs for every stream of this handle.
+  virtual const plan::PlanDecision& decision() const = 0;
+  /// The EXPLAIN block (anyk/explain.h): plan shape and sizes — shard 0's,
+  /// labeled, when sharded — then the cross-shard planner decision.
+  virtual std::string Explain() const = 0;
+};
+
+namespace internal {
+
+template <SelectiveDioid D>
+class TypedStream final : public PageStream {
+ public:
+  TypedStream(EnumerationSession<D> session,
+              const std::vector<uint32_t>* select_vars)
+      : select_vars_(select_vars), session_(std::move(session)) {}
+
+  size_t FetchPage(size_t n, const RowFn& fn) override {
+    if (done_ || n == 0) return 0;
+    // Grow only: shrinking would destroy rows, and their value buffers,
+    // that the next larger page then allocates again.
+    if (batch_.size() < n) batch_.resize(std::max(n, kPageRows));
+    const size_t got = session_.NextBatch(batch_.data(), n);
+    if (got < n) done_ = true;
+    const size_t first_rank = rank_ + 1;
+    rank_ += got;
+    if (!fn) return got;
+    for (size_t b = 0; b < got; ++b) {
+      const ResultRow<D>& row = batch_[b];
+      const std::vector<Value>* values = &row.assignment;
+      if (!select_vars_->empty()) {
+        projected_.clear();
+        for (uint32_t v : *select_vars_) {
+          projected_.push_back(row.assignment[v]);
+        }
+        values = &projected_;
+      }
+      fn(first_rank + b, static_cast<double>(row.weight), *values);
+    }
+    return got;
+  }
+
+  bool done() const override { return done_; }
+  size_t produced() const override { return rank_; }
+
+ private:
+  const std::vector<uint32_t>* select_vars_;  // owned by the TypedHandle
+  EnumerationSession<D> session_;
+  std::vector<ResultRow<D>> batch_;
+  std::vector<Value> projected_;
+  size_t rank_ = 0;
+  bool done_ = false;
+};
+
+template <SelectiveDioid D>
+class TypedHandle final : public QueryHandle {
+ public:
+  TypedHandle(const Database& db, SqlStatement stmt,
+              const ShardedQueryOptions& opts)
+      : stmt_(std::move(stmt)), pq_(db, stmt_.query, opts) {}
+
+  std::unique_ptr<PageStream> Open(Algorithm algo) const override {
+    return std::make_unique<TypedStream<D>>(pq_.NewSession(algo),
+                                            &stmt_.select_vars);
+  }
+  const char* plan_name() const override { return PlanName(pq_.plan()); }
+  size_t limit() const override { return pq_.default_enum_options().k_budget; }
+  const plan::PlanDecision& decision() const override {
+    return pq_.decision();
+  }
+  std::string Explain() const override { return anyk::Explain(pq_); }
+
+ private:
+  const SqlStatement stmt_;
+  const ShardedPreparedQuery<D> pq_;
+};
+
+}  // namespace internal
+
+/// Prepare `stmt` under the named dioid with `opts` (which callers fill as
+/// they would for a ShardedPreparedQuery; `opts.prepare.pool` parallelizes
+/// preprocessing only and is not retained). Answers never carry witnesses:
+/// the handle clears EnumOptions::with_witness. CHECK-fails on an unknown
+/// dioid name.
+inline std::unique_ptr<QueryHandle> MakeQueryHandle(const Database& db,
+                                                    SqlStatement stmt,
+                                                    const std::string& dioid,
+                                                    ShardedQueryOptions opts) {
+  opts.prepare.enum_opts.with_witness = false;
+  if (dioid == "min-sum") {
+    return std::make_unique<internal::TypedHandle<TropicalDioid>>(
+        db, std::move(stmt), opts);
+  }
+  if (dioid == "max-sum") {
+    return std::make_unique<internal::TypedHandle<MaxPlusDioid>>(
+        db, std::move(stmt), opts);
+  }
+  if (dioid == "min-max") {
+    return std::make_unique<internal::TypedHandle<MinMaxDioid>>(
+        db, std::move(stmt), opts);
+  }
+  if (dioid == "max-times") {
+    return std::make_unique<internal::TypedHandle<MaxTimesDioid>>(
+        db, std::move(stmt), opts);
+  }
+  ANYK_CHECK(false) << "unknown dioid '" << dioid
+                    << "' (expected min-sum|max-sum|min-max|max-times)";
+  return nullptr;
+}
+
+}  // namespace anyk
+
+#endif  // ANYK_ANYK_QUERY_HANDLE_H_

@@ -46,7 +46,7 @@ class RankedQuery {
   RankedQuery(const Database& db, const ConjunctiveQuery& q,
               Options opts = {})
       : prepared_(db, q,
-                  typename PreparedQuery<D>::Options{
+                  PrepareOptions{
                       opts.enum_opts, opts.dedup_union, opts.cycle_opts,
                       opts.pool,
                       /*auto_plan=*/opts.algorithm == Algorithm::kAuto}),

@@ -64,20 +64,23 @@
 
 namespace anyk {
 
+/// How a ShardedPreparedQuery<D> is built; no field depends on the dioid.
+struct ShardedQueryOptions {
+  /// Per-shard prepare options. `prepare.pool` drives BOTH the partition
+  /// pass and the parallel per-shard build waves; with S > 1 the
+  /// individual shard builds run serially inside the waves.
+  PrepareOptions prepare;
+  size_t shards = 1;
+  /// Merge through ParallelUnionEnumerator: one worker thread per shard
+  /// session. Same output bytes as the serial union; sessions cost S
+  /// threads each while open.
+  bool parallel_drain = false;
+};
+
 template <SelectiveDioid D = TropicalDioid>
 class ShardedPreparedQuery {
  public:
-  struct Options {
-    /// Per-shard prepare options. `prepare.pool` drives BOTH the partition
-    /// pass and the parallel per-shard build waves; with S > 1 the
-    /// individual shard builds run serially inside the waves.
-    typename PreparedQuery<D>::Options prepare;
-    size_t shards = 1;
-    /// Merge through ParallelUnionEnumerator: one worker thread per shard
-    /// session. Same output bytes as the serial union; sessions cost S
-    /// threads each while open.
-    bool parallel_drain = false;
-  };
+  using Options = ShardedQueryOptions;
 
   ShardedPreparedQuery(const Database& db, const ConjunctiveQuery& q,
                        Options opts = {})
@@ -89,7 +92,7 @@ class ShardedPreparedQuery {
     if (s_count == 1) {
       // Passthrough: the one "shard" is the original database, built with
       // full inner parallelism.
-      typename PreparedQuery<D>::Options single = opts_.prepare;
+      PrepareOptions single = opts_.prepare;
       single.pool = pool;
       shards_.push_back(std::make_unique<PreparedQuery<D>>(db, q, single));
       decision_ = shards_[0]->decision();

@@ -1,7 +1,7 @@
 // Resumable cursors: the server-side registry mapping cursor ids to live
 // enumeration streams.
 //
-// A cursor owns the per-stream mutable state (the CursorStream and its
+// A cursor owns the per-stream mutable state (the PageStream and its
 // session arenas), *pins* the cache entry it streams from (a shared_ptr —
 // LRU eviction can drop the entry from the cache without invalidating open
 // cursors) and holds one SessionTicket of the admission gauge. Each cursor
@@ -31,7 +31,7 @@
 #include <utility>
 #include <vector>
 
-#include "server/query_handle.h"
+#include "anyk/query_handle.h"
 #include "server/rate_limiter.h"
 #include "util/sync.h"
 
@@ -42,7 +42,7 @@ struct Cursor {
   /// `pin`, `ticket` and `algorithm` are immutable after construction (set
   /// before the cursor is published into the manager's map), so only the
   /// stream needs the mutex.
-  Cursor(std::unique_ptr<CursorStream> stream_in, std::shared_ptr<void> pin_in,
+  Cursor(std::unique_ptr<PageStream> stream_in, std::shared_ptr<void> pin_in,
          SessionTicket ticket_in, std::string algorithm_in)
       : stream(std::move(stream_in)),
         pin(std::move(pin_in)),
@@ -52,7 +52,7 @@ struct Cursor {
   }
 
   Mutex mu;  // held for the duration of one page request
-  std::unique_ptr<CursorStream> stream ANYK_GUARDED_BY(mu);
+  std::unique_ptr<PageStream> stream ANYK_GUARDED_BY(mu);
   const std::shared_ptr<void> pin;  // keeps the cache entry alive past eviction
   const SessionTicket ticket;
   const std::string algorithm;  // for /statz and re-open diagnostics
@@ -88,7 +88,7 @@ class CursorManager {
   explicit CursorManager(double ttl_seconds) : ttl_seconds_(ttl_seconds) {}
 
   /// Register a stream and return its id ("c1", "c2", ...).
-  std::string Open(std::unique_ptr<CursorStream> stream,
+  std::string Open(std::unique_ptr<PageStream> stream,
                    std::shared_ptr<void> pin, SessionTicket ticket,
                    std::string algorithm) ANYK_EXCLUDES(mu_) {
     auto cursor = std::make_shared<Cursor>(std::move(stream), std::move(pin),

@@ -8,10 +8,7 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <cstdio>
 #include <deque>
@@ -24,14 +21,16 @@
 #include <utility>
 #include <vector>
 
+#include "anyk/factory.h"
+#include "anyk/query_handle.h"
 #include "query/sql.h"
 #include "server/cursor_manager.h"
 #include "server/http.h"
 #include "server/lru_cache.h"
-#include "server/query_handle.h"
 #include "server/rate_limiter.h"
 #include "util/json.h"
 #include "util/logging.h"
+#include "util/parse.h"
 #include "util/sync.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -50,31 +49,6 @@ struct CacheEntry {
 };
 
 using QueryCache = LruCache<CacheEntry>;
-
-std::optional<Algorithm> AlgorithmFromName(std::string name) {
-  for (char& c : name) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  if (name == "recursive" || name == "rec") return Algorithm::kRecursive;
-  if (name == "take2") return Algorithm::kTake2;
-  if (name == "lazy") return Algorithm::kLazy;
-  if (name == "eager") return Algorithm::kEager;
-  if (name == "all") return Algorithm::kAll;
-  if (name == "batch") return Algorithm::kBatch;
-  if (name == "auto") return Algorithm::kAuto;
-  return std::nullopt;
-}
-
-bool ParsePositiveSize(const std::string& s, size_t* out) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (*end != '\0' || errno == ERANGE) return false;
-  *out = static_cast<size_t>(v);
-  return true;
-}
 
 const char* CacheOutcomeName(QueryCache::Outcome o) {
   switch (o) {
@@ -214,7 +188,7 @@ struct AnykServer::Impl {
     if (!req.HasParam("k")) return opts.default_page_k;
     const std::string v = req.Param("k", "");
     size_t k = 0;
-    if (!ParsePositiveSize(v, &k) || k == 0) {
+    if (!ParseSize(v, &k) || k == 0) {
       // k=0 must not fall through: EnumOptions::k_budget treats 0 as the
       // "unbounded" sentinel, so an accepted 0 would mean "everything".
       *err = TextError(400, "k must be a positive integer (a page cannot be "
@@ -327,7 +301,7 @@ HttpResponse AnykServer::Impl::HandleQuery(const HttpRequest& req) {
   // Default: the cost-based planner. The decision was made at prepare time
   // and cached inside the entry, so `auto` adds nothing per request.
   const std::string algo_name = req.Param("algorithm", "auto");
-  const std::optional<Algorithm> algo = AlgorithmFromName(algo_name);
+  const std::optional<Algorithm> algo = ParseAlgorithm(algo_name);
   if (!algo.has_value()) {
     return TextError(400, "unknown algorithm '" + algo_name +
                               "' (expected recursive|take2|lazy|eager|all|"
@@ -368,9 +342,20 @@ HttpResponse AnykServer::Impl::HandleQuery(const HttpRequest& req) {
       [&]() -> std::shared_ptr<CacheEntry> {
         auto e = std::make_shared<CacheEntry>();
         Timer timer;
-        const SqlStatement stmt = ParseSql(normalized, &db);
-        e->handle =
-            MakeQueryHandle(db, stmt, dioid, &prepare_pool, opts.shards);
+        SqlStatement stmt = ParseSql(normalized, &db);
+        ShardedQueryOptions qopts;
+        // The planner budget is the SQL LIMIT (0 = unbounded): the strategy
+        // for `algorithm=auto` is decided once here, at prepare time —
+        // across all shards — and shared by every cursor of this entry.
+        qopts.prepare.enum_opts.k_budget = stmt.limit;
+        qopts.prepare.pool = &prepare_pool;
+        qopts.prepare.auto_plan = true;
+        qopts.shards = opts.shards;
+        // Cursors stay on the serial merge: a paged session may sit idle
+        // between requests, and parking S worker threads per open cursor
+        // would let max_sessions cursors pin S * max_sessions threads.
+        qopts.parallel_drain = false;
+        e->handle = MakeQueryHandle(db, std::move(stmt), dioid, qopts);
         e->prepare_seconds = timer.Seconds();
         return e;
       },
@@ -380,7 +365,7 @@ HttpResponse AnykServer::Impl::HandleQuery(const HttpRequest& req) {
     return TextError(500, "query preparation failed; retry");
   }
 
-  std::unique_ptr<CursorStream> stream = entry->handle->Open(*algo);
+  std::unique_ptr<PageStream> stream = entry->handle->Open(*algo);
   PageWriter page(json, CacheOutcomeName(outcome), entry->handle->plan_name());
   stream->FetchPage(*page_k, page.Sink());
   std::string cursor_id;

@@ -6,9 +6,11 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace anyk {
 
@@ -152,6 +154,17 @@ Relation& LoadRelationCsv(Database* db, const std::string& name,
   // just has no data rows to infer the arity (and load anything) from.
   ANYK_CHECK(rel != nullptr) << "no data rows in " << path;
   return *rel;
+}
+
+void LoadRelationsCsv(Database* db, const std::vector<CsvRelation>& sources,
+                      const CsvOptions& opts, ThreadPool* pool) {
+  std::vector<Database> parsed(sources.size());
+  ParallelFor(pool, sources.size(), [&](size_t i) {
+    LoadRelationCsv(&parsed[i], sources[i].name, sources[i].path, opts);
+  });
+  for (size_t i = 0; i < sources.size(); ++i) {
+    db->AddRelation(std::move(parsed[i].GetMutable(sources[i].name)));
+  }
 }
 
 void SaveRelationCsv(const Relation& rel, const std::string& path,

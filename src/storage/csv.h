@@ -10,10 +10,13 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "storage/database.h"
 
 namespace anyk {
+
+class ThreadPool;
 
 struct CsvOptions {
   char delimiter = ',';
@@ -35,6 +38,21 @@ struct CsvOptions {
 /// `path:line` so CLI users can locate the offending row.
 Relation& LoadRelationCsv(Database* db, const std::string& name,
                           const std::string& path, const CsvOptions& opts = {});
+
+/// One `NAME=FILE.csv` relation source.
+struct CsvRelation {
+  std::string name;
+  std::string path;
+};
+
+/// Load every source as its own relation of `db` (the recipe both `anyk`
+/// and `anykd` use). On a multi-threaded `pool` the files parse in
+/// parallel, each into a private database; they then merge into `db`
+/// serially in declaration order, so diagnostics and relation order stay
+/// deterministic. The first CHECK failure propagates (ParallelFor rethrows
+/// it). `pool` may be null (serial).
+void LoadRelationsCsv(Database* db, const std::vector<CsvRelation>& sources,
+                      const CsvOptions& opts, ThreadPool* pool);
 
 /// Write a relation as CSV with the weight as the last column.
 void SaveRelationCsv(const Relation& rel, const std::string& path,

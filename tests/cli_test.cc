@@ -318,6 +318,30 @@ TEST(CliTest, ShardsFlagKeepsRankedWeightsAndReportsShards) {
   EXPECT_NE(sharded.output.find("exhausted=yes"), std::string::npos);
 }
 
+// With --shards the EXPLAIN block shows shard 0's plan shape, but its
+// planner line must be the cross-shard decision the header reports — not
+// shard 0's local one (whose stats count only shard 0's answers).
+TEST(CliTest, ShardedExplainShowsTheMergedPlannerDecision) {
+  CliRun run = RunCli(
+      TwoRelationArgs() +
+      " --shards 3 --explain --algorithm auto --query \"SELECT * FROM R, S"
+      " WHERE R.A2 = S.A1 ORDER BY WEIGHT ASC\"");
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  std::vector<std::string> planner_lines;
+  std::istringstream in(run.output);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("# planner: ", 0) == 0) planner_lines.push_back(line);
+  }
+  ASSERT_EQ(planner_lines.size(), 2u) << run.output;
+  EXPECT_EQ(planner_lines[0], planner_lines[1]) << run.output;
+  EXPECT_NE(planner_lines[0].find("out=5"), std::string::npos) << run.output;
+  EXPECT_NE(run.output.find("# shards: 3 (plan shape and sizes below are "
+                            "shard 0's"),
+            std::string::npos)
+      << run.output;
+}
+
 TEST(CliTest, ShardsZeroIsAUsageError) {
   CliRun run = RunCli(
       TwoRelationArgs() +

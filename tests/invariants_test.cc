@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "anyk/anyk_rec.h"
 #include "anyk/batch.h"
 #include "anyk/factory.h"
+#include "anyk/query_handle.h"
 #include "anyk/strategies.h"
 #include "util/dary_heap.h"
 #include "dioid/min_max.h"
@@ -22,6 +24,7 @@
 #include "plan/stats.h"
 #include "query/cq.h"
 #include "query/join_tree.h"
+#include "query/sql.h"
 #include "util/alloc_stats.h"
 #include "util/random.h"
 #include "workload/generators.h"
@@ -441,6 +444,38 @@ TEST(InvariantTest, ZeroHeapAllocationsDuringBatchedEnumeration) {
       << "batched enumeration of " << produced << " results hit the global "
       << "heap " << delta.news << " times (" << delta.bytes << " bytes)";
   EXPECT_GT(produced, 1000u) << "instance too small to be meaningful";
+}
+
+// A query-handle stream grows its page buffer and never shrinks it: a small
+// page must not destroy rows (and their value buffers) that the next large
+// page would allocate again. Over the same answers, alternating page sizes
+// therefore allocate no more than a constant page size does.
+uint64_t PagingAllocs(const QueryHandle& handle,
+                      const std::vector<size_t>& pages) {
+  const std::unique_ptr<PageStream> stream = handle.Open(Algorithm::kLazy);
+  const RowFn ignore = [](size_t, double, const std::vector<Value>&) {};
+  const AllocCounts before = CurrentAllocCounts();
+  for (const size_t n : pages) {
+    EXPECT_EQ(stream->FetchPage(n, ignore), n);
+  }
+  return AllocDelta(before, CurrentAllocCounts()).news;
+}
+
+TEST(InvariantTest, HandlePagingWithMixedSizesAllocatesNoMore) {
+  const Database db = MakePathDatabase(2000, 4, 707, {.fanout = 6.0});
+  const SqlStatement stmt = ParseSql(
+      "SELECT * FROM R1, R2, R3 WHERE R1.A2 = R2.A1 AND R2.A2 = R3.A1", &db);
+  const std::unique_ptr<QueryHandle> handle =
+      MakeQueryHandle(db, stmt, "min-sum", {});
+  std::vector<size_t> alternating;
+  std::vector<size_t> constant;
+  for (size_t p = 0; p < 25; ++p) {
+    alternating.insert(alternating.end(), {100, 10});
+    constant.push_back(110);  // the same 2750 answers
+  }
+  const uint64_t mixed = PagingAllocs(*handle, alternating);
+  const uint64_t steady = PagingAllocs(*handle, constant);
+  EXPECT_LE(mixed, steady) << "alternating page sizes reallocated rows";
 }
 
 TEST(InvariantTest, WeightsMatchRecomputationFromWitness) {

@@ -20,6 +20,7 @@
 #include "util/checkpoints.h"
 #include "util/dary_heap.h"
 #include "util/pairing_heap.h"
+#include "util/parse.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -792,6 +793,34 @@ TEST(CheckpointsTest, SizeMaxDoesNotOverflowOrHang) {
   // The list reaches the top decade that still fits: more than 10^18 on
   // 64-bit size_t, i.e. the walk did not bail out early.
   EXPECT_GT(cps.back(), SIZE_MAX / 20);
+}
+
+// ParseSize backs every size the binaries accept (anyk and anykd flags, the
+// server's k=): digits only and range-checked, so a huge value is a usage
+// error instead of a wrapped or truncated size.
+TEST(ParseSizeTest, AcceptsDigitsUpToSizeMax) {
+  size_t v = 7;
+  EXPECT_TRUE(ParseSize("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseSize("00042", &v));
+  EXPECT_EQ(v, 42u);
+  EXPECT_TRUE(ParseSize("18446744073709551615", &v));  // 2^64 - 1
+  EXPECT_EQ(v, SIZE_MAX);
+}
+
+TEST(ParseSizeTest, RejectsOutOfRangeAndNonDigits) {
+  size_t v = 7;
+  EXPECT_FALSE(ParseSize("18446744073709551616", &v));  // 2^64
+  EXPECT_FALSE(ParseSize("99999999999999999999999", &v));
+  EXPECT_FALSE(ParseSize("", &v));
+  EXPECT_FALSE(ParseSize("-", &v));
+  EXPECT_FALSE(ParseSize("-3", &v));
+  EXPECT_FALSE(ParseSize("+3", &v));
+  EXPECT_FALSE(ParseSize(" 3", &v));
+  EXPECT_FALSE(ParseSize("3 ", &v));
+  EXPECT_FALSE(ParseSize("3x", &v));
+  EXPECT_FALSE(ParseSize("0x10", &v));
+  EXPECT_EQ(v, 7u) << "a rejected value must leave the output untouched";
 }
 
 }  // namespace
