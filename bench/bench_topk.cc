@@ -9,9 +9,10 @@
 //   * "Lazy"       — the pre-PR configuration: binary-heap candidate PQ,
 //                    unbounded (no budget anywhere), NextInto drain.
 //   * "Lazy+topk"  — the budget-aware fast path: EnumOptions::k_budget = k
-//                    (bounded O(k) candidate heap, O(1) conn_second
-//                    deviations, lazily materialized successor structures,
-//                    final-answer strategy bypass) drained via NextBatch.
+//                    (bounded O(k) candidate heap, O(1) second-best
+//                    deviations off the graph's connector heaps, lazily
+//                    materialized successor structures, final-answer
+//                    strategy bypass) drained via NextBatch.
 //
 // Every (shape, k, variant) pair is reported as its own series — the k is
 // encoded in the dataset column ("k=10") — so scripts/bench_compare.py
@@ -65,12 +66,11 @@ size_t FastRepsFor(size_t k) { return RepsFor(k) * (k <= 100 ? 10 : 1); }
 
 using D = TropicalDioid;
 
-/// Faithful replica of the pre-PR LazyStrategy (commit f960221): an eagerly
-/// constructed per-session ConnData table and heapify-always connector
-/// initialization over a binary heap. The current LazyStrategy (lazy
-/// arena-backed pointer table, budget-aware top-two scan / capped
-/// selection) is part of this PR, so using it in the baseline series would
-/// hide most of what the ablation is supposed to measure.
+/// Faithful replica of the seed LazyStrategy: an eagerly constructed
+/// per-session ConnData table and heapify-always connector initialization
+/// over a binary heap. The current LazyStrategy (lazy arena-backed pointer
+/// table, ranks served off the graph's connector heaps) is what the
+/// ablation measures against it, so it cannot stand in for the baseline.
 template <SelectiveDioid DD>
 class SeedLazyStrategy {
  public:
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
   PaperNote("topk",
             "budget-aware serving TT(k) should beat the pre-PR path by "
             ">=20% for k <= 100 on path and star (O(k) bounded heaps, O(1) "
-            "conn_second deviations, lazily materialized successor "
+            "second-best deviations, lazily materialized successor "
             "structures, batched binding)");
 
   const std::vector<size_t> ks = {1, 10, 100, 10000};

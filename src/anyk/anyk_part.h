@@ -67,17 +67,6 @@ template <SelectiveDioid D, template <class> class Strategy,
 class AnyKPartEnumerator : public Enumerator<D> {
   using V = typename D::Value;
   static constexpr uint32_t kNoPrefix = UINT32_MAX;
-  // True when the strategy's choice handles are ranks (0 = best member,
-  // 1 = second best, ...) — the contract behind the budget fast path that
-  // creates deviation candidates from the graph's precomputed
-  // conn_best/conn_second without touching the strategy.
-  static constexpr bool kRankHandles = [] {
-    if constexpr (requires { Strategy<D>::kRankHandles; }) {
-      return Strategy<D>::kRankHandles;
-    } else {
-      return false;
-    }
-  }();
 
  public:
   explicit AnyKPartEnumerator(const StageGraph<D>* g, EnumOptions opts = {})
@@ -99,27 +88,15 @@ class AnyKPartEnumerator : public Enumerator<D> {
     if constexpr (requires { cand_.SetBudget(size_t{0}); }) {
       cand_.SetBudget(opts_.k_budget);
     }
-    // Budget-capable strategies (Lazy's top-two scan init) learn k here,
-    // before the root connector is touched below.
-    if constexpr (requires { strategy_.SetBudget(size_t{0}); }) {
-      strategy_.SetBudget(opts_.k_budget);
-    }
     const size_t L = g_->stages.size();
     states_.assign(L, 0);
     frontier_.reserve(L + 1);
     if (!g_->Empty()) {
-      if (kRankHandles && opts_.k_budget != 0) {
-        // Fast path: the DP already knows the root optimum; the root
-        // connector's successor structure is built on first pop instead.
-        Push(Candidate{g_->stages[0].ConnBestVal(StageGraph<D>::kRootConn),
-                       kNoPrefix, 0, StageGraph<D>::kRootConn, 0});
-      } else {
-        const uint32_t top = strategy_.Top(0, StageGraph<D>::kRootConn);
-        const uint32_t pos =
-            strategy_.MemberPos(0, StageGraph<D>::kRootConn, top);
-        Push(Candidate{g_->stages[0].member_val[pos], kNoPrefix, 0,
-                       StageGraph<D>::kRootConn, top});
-      }
+      const uint32_t top = strategy_.Top(0, StageGraph<D>::kRootConn);
+      const uint32_t pos =
+          strategy_.MemberPos(0, StageGraph<D>::kRootConn, top);
+      Push(Candidate{g_->stages[0].member_val[pos], kNoPrefix, 0,
+                     StageGraph<D>::kRootConn, top});
     }
   }
 
@@ -232,13 +209,6 @@ class AnyKPartEnumerator : public Enumerator<D> {
       if (!skip_generation_) RebuildFrontier(c.dev_stage);
     }
 
-    // The budget fast path (rank-handle strategies only) creates deviation
-    // candidates straight from the graph's conn_best/conn_second, so the
-    // popped candidate's connector may not have a successor structure yet —
-    // build it now, once, since Successors/MemberPos below need it.
-    const bool fast = kRankHandles && opts_.k_budget != 0;
-    if (fast && !skip_generation_) strategy_.Top(c.dev_stage, c.conn);
-
     // Deviations of the popped candidate within its own subspace (the first
     // iteration of Algorithm 1's for-loop, r = dev_stage).
     if (!skip_generation_) {
@@ -246,43 +216,19 @@ class AnyKPartEnumerator : public Enumerator<D> {
     }
 
     // Assign the deviating choice and expand stage by stage with top
-    // choices, spawning one subspace per stage. For the final budgeted
-    // answer the strategy is bypassed below the deviation: the DP already
-    // knows each connector's best member (conn_best), so no successor
-    // structure is initialized for connectors only this answer touches.
+    // choices (heap slot 0 of each connector, which no strategy has to
+    // build anything for), spawning one subspace per stage — except for
+    // the final budgeted answer.
     uint32_t prefix = c.prefix;
-    CommitStage(c.dev_stage, DevMemberPos(c.dev_stage, c.conn, c.choice),
-                &prefix);
+    AssignStage(c.dev_stage, c.conn, c.choice, &prefix);
     for (uint32_t j = c.dev_stage + 1; j < L; ++j) {
       const auto& stj = g_->stages[j];
       const auto& par = g_->stages[stj.parent_stage];
       const uint32_t conn =
           par.conn_of_state[states_[stj.parent_stage] * par.num_slots +
                             stj.parent_slot];
-      if (skip_generation_) {
-        CommitStage(j, stj.conn_best[conn], &prefix);
-        continue;
-      }
-      if (fast) {
-        // O(1) deviation-from-top via the precomputed second-best member:
-        // no per-session successor structure is touched here — the
-        // connector is only initialized if this candidate is later popped.
-        const uint32_t second = stj.conn_second[conn];
-        if (second != StageGraph<D>::kNoMember) {
-          V base;
-          if constexpr (D::kHasInverse) {
-            base = D::Subtract(c.total, stj.member_val[stj.conn_best[conn]]);
-          } else {
-            base = FrontierBase(j);
-          }
-          Push(Candidate{D::Combine(base, stj.member_val[second]), prefix, j,
-                         conn, /*choice=rank*/ 1});
-        }
-        CommitStage(j, stj.conn_best[conn], &prefix);
-        continue;
-      }
       const uint32_t top = strategy_.Top(j, conn);
-      GenerateCandidates(j, conn, top, c.total, prefix);
+      if (!skip_generation_) GenerateCandidates(j, conn, top, c.total, prefix);
       AssignStage(j, conn, top, &prefix);
     }
 
@@ -294,22 +240,6 @@ class AnyKPartEnumerator : public Enumerator<D> {
     cand_.Push(std::move(cand));
     ++stats_.pushes;
     stats_.max_cand_size = std::max(stats_.max_cand_size, cand_.Size());
-  }
-
-  /// Member position behind a popped candidate's choice handle. With a
-  /// rank-handle strategy under a budget, ranks 0/1 of an untouched
-  /// connector resolve through the graph's precomputed best/second-best —
-  /// the only ranks a fast-path candidate can carry — without forcing the
-  /// successor structure into existence.
-  uint32_t DevMemberPos(uint32_t stage, uint32_t conn, uint32_t choice) {
-    if constexpr (kRankHandles) {
-      if (opts_.k_budget != 0 && choice <= 1 &&
-          !strategy_.Initialized(stage, conn)) {
-        const auto& st = g_->stages[stage];
-        return choice == 0 ? st.conn_best[conn] : st.conn_second[conn];
-      }
-    }
-    return strategy_.MemberPos(stage, conn, choice);
   }
 
   /// Record the chosen state for `stage` (by absolute member position) and

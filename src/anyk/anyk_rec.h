@@ -11,6 +11,13 @@
 // popped member's own suffix ranking one step, i.e. O(l) priority-queue
 // operations per result (delay O(l log n)).
 //
+// The stage graph stores a connector's members as a binary min-heap on
+// their rank-1 values (dp/stage_graph.h), so a connector's heap starts with
+// slot 0 alone, and popping a member's rank-1 entry pushes the rank-1
+// entries of its two heap children. A member only enters once its heap
+// parent has been ranked, so the first answer costs O(l) pushes however
+// wide the connectors are.
+//
 // Tree case (Section 5.1): a state with λ ≥ 2 child slots ranks the
 // Cartesian product of its branch rankings. We enumerate that product with
 // the classic frontier scheme — a combination's successors advance one
@@ -18,23 +25,25 @@
 // duplicate-free and accesses each branch ranking in sorted order (the
 // paper's "run ANYK-PART over the product space" construction).
 //
-// Memory: product-state rankings are addressed by a flat per-stage offset
-// table (only stages with λ ≥ 2 slots get one) instead of a hash map, and
-// every ranking list, heap and combination rank-vector draws from the
-// per-query Arena — after construction the enumeration loop performs no
-// global heap allocation.
+// Memory: rankings are reached through 8-byte pointer tables — one entry
+// per connector, and one per state of the stages with λ ≥ 2 slots (a flat
+// per-stage offset table instead of a hash map). The rankings themselves,
+// with every heap and combination rank-vector, are built in the per-query
+// Arena on first touch — after construction the enumeration loop performs
+// no global heap allocation.
 //
 // Threading: suffix rankings are memoization *per enumerator*, not per
 // graph — conn_rank_/state_rank_ are members, the shared StageGraph is
 // read-only. Concurrent RecursiveEnumerators over one graph each build
-// their own rankings (paying the memoization once per session, the price
-// of lock-free sharing; see docs/ARCHITECTURE.md, "Threading model").
+// rankings for the connectors they touch (the price of lock-free sharing;
+// see docs/ARCHITECTURE.md, "Threading model").
 
 #ifndef ANYK_ANYK_ANYK_REC_H_
 #define ANYK_ANYK_ANYK_REC_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -65,7 +74,7 @@ class RecursiveEnumerator : public Enumerator<D> {
         opts_(opts),
         arena_(opts.arena_block_bytes == 0 ? Arena::kDefaultFirstBlockBytes
                                            : opts.arena_block_bytes),
-        conn_rank_(g->total_connectors) {
+        conn_rank_(g->total_connectors, nullptr) {
     arena_.Reserve(opts_.arena_reserve_bytes);
     // Flat offset table for product-state rankings: stages with >= 2 child
     // slots get a dense block of StateRank slots, one per state.
@@ -77,7 +86,7 @@ class RecursiveEnumerator : public Enumerator<D> {
         base += static_cast<uint32_t>(g_->stages[s].NumStates());
       }
     }
-    state_rank_.resize(base);
+    state_rank_.assign(base, nullptr);
   }
 
   bool NextInto(ResultRow<D>* row) override {
@@ -127,7 +136,6 @@ class RecursiveEnumerator : public Enumerator<D> {
   using EntryHeap =
       DAryHeap<ConnEntry, EntryLess, ArenaAllocator<ConnEntry>, 4>;
   struct ConnRank {
-    bool init = false;
     ArenaVector<ConnEntry> ranked;  // Π1, Π2, ... of this connector
     EntryHeap heap;
   };
@@ -145,14 +153,37 @@ class RecursiveEnumerator : public Enumerator<D> {
   };
   using ComboHeap = DAryHeap<Combo, ComboLess, ArenaAllocator<Combo>, 4>;
   struct StateRank {
-    bool init = false;
     ArenaVector<Combo> ranked;
     ComboHeap heap;
-    bool exhausted = false;
   };
 
   const ConnEntry& RankedEntry(uint32_t stage, uint32_t conn, uint32_t k) {
-    return conn_rank_[g_->GlobalConn(stage, conn)].ranked[k - 1];
+    return conn_rank_[g_->GlobalConn(stage, conn)]->ranked[k - 1];
+  }
+
+  /// A connector's ranking, seeded with its heap slot 0 (the rank-1 entry
+  /// of its best member); built in the arena on first touch.
+  ConnRank* NewConnRank(uint32_t stage, uint32_t conn) {
+    const auto& st = g_->stages[stage];
+    ConnRank* cr = new (arena_.Allocate(sizeof(ConnRank), alignof(ConnRank)))
+        ConnRank{MakeArenaVector<ConnEntry>(&arena_),
+                 EntryHeap(EntryLess{}, ArenaAllocator<ConnEntry>(&arena_))};
+    const uint32_t best = st.ConnBest(conn);
+    cr->heap.Push(ConnEntry{st.member_val[best], best, 1});
+    ++stats_.heap_pushes;
+    ++stats_.conns_initialized;
+    return cr;
+  }
+
+  /// Push the rank-1 entries of the heap children of the member at `pos`.
+  void PushHeapChildren(uint32_t stage, uint32_t conn, uint32_t pos,
+                        ConnRank* cr) {
+    const auto& st = g_->stages[stage];
+    const auto [first, last] = st.HeapChildren(conn, pos);
+    for (uint32_t p = first; p < last; ++p) {
+      cr->heap.Push(ConnEntry{st.member_val[p], p, 1});
+      ++stats_.heap_pushes;
+    }
   }
 
   /// Materialize Πk of the connector; false if fewer than k suffixes exist.
@@ -163,29 +194,19 @@ class RecursiveEnumerator : public Enumerator<D> {
   /// which recursively advances exactly one rank per stage — O(l) priority-
   /// queue operations per result.
   bool EnsureConnRank(uint32_t stage, uint32_t conn, uint32_t k) {
-    ConnRank& cr = conn_rank_[g_->GlobalConn(stage, conn)];
+    ConnRank*& slot = conn_rank_[g_->GlobalConn(stage, conn)];
+    if (slot == nullptr) [[unlikely]] slot = NewConnRank(stage, conn);
+    ConnRank& cr = *slot;
     const auto& st = g_->stages[stage];
-    if (!cr.init) {
-      cr.init = true;
-      ++stats_.conns_initialized;
-      cr.ranked = MakeArenaVector<ConnEntry>(&arena_);
-      cr.heap = EntryHeap(EntryLess{}, ArenaAllocator<ConnEntry>(&arena_));
-      typename EntryHeap::Container initial(
-          ArenaAllocator<ConnEntry>{&arena_});
-      initial.reserve(st.ConnSize(conn));
-      for (uint32_t p = st.conn_begin[conn]; p < st.conn_begin[conn + 1]; ++p) {
-        initial.push_back(ConnEntry{st.member_val[p], p, 1});
-      }
-      stats_.heap_pushes += initial.size();
-      cr.heap.BuildFrom(std::move(initial));  // O(n) bulk heapify
-    }
     while (cr.ranked.size() < k) {
       if (!cr.ranked.empty()) {
         // Advance: pop the entry peeked as the last rank (still the top) and
-        // push the next suffix through the same member, if any.
+        // push the next suffix through the same member, if any. A rank-1
+        // entry also admits its member's heap children.
         if (cr.heap.Empty()) return false;
         ConnEntry e = cr.heap.PopMin();
         ++stats_.heap_pops;
+        if (e.rank == 1) PushHeapChildren(stage, conn, e.member_pos, &cr);
         const uint32_t state = st.members[e.member_pos];
         V below;
         if (EnsureStateRank(stage, state, e.rank + 1, &below)) {
@@ -221,21 +242,22 @@ class RecursiveEnumerator : public Enumerator<D> {
     }
     // λ ≥ 2: rank the product of branch rankings (peek-then-pop, like the
     // connector case).
-    StateRank& sr = StateRankOf(stage, state);
-    if (!sr.init) {
-      sr.init = true;
-      sr.ranked = MakeArenaVector<Combo>(&arena_);
-      sr.heap = ComboHeap(ComboLess{}, ArenaAllocator<Combo>(&arena_));
+    StateRank*& sr_slot = StateRankOf(stage, state);
+    if (sr_slot == nullptr) {
+      sr_slot = new (arena_.Allocate(sizeof(StateRank), alignof(StateRank)))
+          StateRank{MakeArenaVector<Combo>(&arena_),
+                    ComboHeap(ComboLess{}, ArenaAllocator<Combo>(&arena_))};
       // Initial combination (1, ..., 1) with value π1(state).
       Combo c;
       c.val = st.pi1[state];
       c.ranks = MakeArenaVector<uint32_t>(&arena_);
       c.ranks.assign(slots, 1);
       c.last_advanced = 0;
-      sr.heap.Push(std::move(c));
+      sr_slot->heap.Push(std::move(c));
       ++stats_.heap_pushes;
       ++stats_.combos_created;
     }
+    StateRank& sr = *sr_slot;
     while (sr.ranked.size() < j) {
       if (!sr.ranked.empty()) {
         if (sr.heap.Empty()) return false;
@@ -271,10 +293,7 @@ class RecursiveEnumerator : public Enumerator<D> {
           ++stats_.combos_created;
         }
       }
-      if (sr.heap.Empty()) {
-        sr.exhausted = true;
-        return false;
-      }
+      if (sr.heap.Empty()) return false;
       sr.ranked.push_back(sr.heap.Min());
     }
     *out_val = sr.ranked[j - 1].val;
@@ -302,7 +321,7 @@ class RecursiveEnumerator : public Enumerator<D> {
     V dummy;
     const bool have = EnsureStateRank(stage, state, j, &dummy);
     ANYK_CHECK(have);
-    const Combo& c = StateRankOf(stage, state).ranked[j - 1];
+    const Combo& c = StateRankOf(stage, state)->ranked[j - 1];
     for (uint32_t b = 0; b < slots; ++b) {
       const uint32_t cs = g_->child_stage[stage][b];
       const uint32_t conn = st.conn_of_state[state * slots + b];
@@ -313,7 +332,7 @@ class RecursiveEnumerator : public Enumerator<D> {
     }
   }
 
-  StateRank& StateRankOf(uint32_t stage, uint32_t state) {
+  StateRank*& StateRankOf(uint32_t stage, uint32_t state) {
     ANYK_DCHECK(state_rank_base_[stage] != kNoBase);
     return state_rank_[state_rank_base_[stage] + state];
   }
@@ -322,9 +341,9 @@ class RecursiveEnumerator : public Enumerator<D> {
   EnumOptions opts_;
   // The arena must precede every member that draws from it.
   Arena arena_;
-  std::vector<ConnRank> conn_rank_;
+  std::vector<ConnRank*> conn_rank_;       // null until first touch
   std::vector<uint32_t> state_rank_base_;  // per stage; kNoBase if < 2 slots
-  std::vector<StateRank> state_rank_;      // flat, only λ >= 2 stages
+  std::vector<StateRank*> state_rank_;     // flat, only λ >= 2 stages
   uint32_t k_ = 0;
   AnyKRecStats stats_;
 };

@@ -3,16 +3,23 @@
 // Algorithm 1 is parameterized by how the choice set of a connector is
 // organized and how Succ(state, choice) finds (a superset of) the next-best
 // choice:
-//   * Eager  — sort the whole choice set; Succ is the next rank.        O(n log n) init
-//   * Lazy   — binary heap, incrementally drained into a sorted list.   O(n) init
-//   * All    — no order at all; Succ(top) returns every other choice.   O(1) init
-//   * Take2  — binary heap used as a *static* partial order; Succ(slot)
-//              returns the slot's two heap children.                    O(n) init
+//   * Eager  — sort the whole choice set; Succ is the next rank.  O(n log n) init
+//   * Lazy   — ranks drained incrementally off the shared heap.   O(1) init
+//   * All    — no order at all; Succ(top) returns every other choice.   none
+//   * Take2  — the shared heap as a *static* partial order; Succ(slot)
+//              returns the slot's two heap children.                     none
+//
+// The stage graph stores every connector's members as a binary min-heap on
+// member_val (dp/stage_graph.h), built once at prepare time. That heap is
+// the O(n) half of Lazy and Take2, so neither pays it per session: Take2
+// keeps no per-session state at all, and Lazy serves ranks 0 and 1 straight
+// from the layout.
 //
 // A "choice handle" is a uint32 whose meaning is strategy-specific (rank,
-// heap slot, or absolute member position). All strategies initialize a
-// connector's data structure lazily on first touch (the paper applies this
-// optimization to all algorithms in Section 7).
+// heap slot, or absolute member position). Eager and Lazy build a
+// connector's structure lazily on first need (the paper applies this
+// optimization to all algorithms in Section 7), behind one 8-byte pointer
+// per connector.
 //
 // Memory: every per-connector structure lives in the enumerator's per-query
 // arena. Because initialization is lazy it happens *during* enumeration, so
@@ -38,7 +45,6 @@
 
 #include "dp/stage_graph.h"
 #include "util/arena.h"
-#include "util/binary_heap.h"
 #include "util/dary_heap.h"
 #include "util/logging.h"
 
@@ -52,118 +58,90 @@ struct StrategyStats {
   size_t succ_returned = 0;
 };
 
-/// Eager Sort: pre-sorts each choice set on first access.
+/// Eager Sort: sorts a choice set the first time a successor is asked of
+/// it. Rank 0 is heap slot 0 (a minimum), so the best choice costs nothing
+/// and the sort covers the remaining members.
 template <SelectiveDioid D>
 class EagerStrategy {
  public:
   static constexpr const char* kName = "Eager";
 
   EagerStrategy(const StageGraph<D>* g, Arena* arena)
-      : g_(g), arena_(arena), conns_(g->total_connectors) {}
+      : g_(g), arena_(arena), sorted_(g->total_connectors, nullptr) {}
 
   /// Handle of the best choice of the connector.
-  uint32_t Top(uint32_t stage, uint32_t conn) {
-    Init(stage, conn);
-    return 0;  // rank 0
-  }
+  uint32_t Top(uint32_t /*stage*/, uint32_t /*conn*/) { return 0; }
 
   /// Absolute member position (into Stage::members) of a choice handle.
   uint32_t MemberPos(uint32_t stage, uint32_t conn, uint32_t choice) {
-    return conns_[g_->GlobalConn(stage, conn)].sorted[choice];
+    if (choice == 0) return g_->stages[stage].ConnBest(conn);
+    return sorted_[g_->GlobalConn(stage, conn)][choice];
   }
 
   /// Append the successor handles of `choice` to `out`.
   template <typename Out>
   void Successors(uint32_t stage, uint32_t conn, uint32_t choice, Out* out) {
     ++stats_.succ_calls;
-    const auto& cd = conns_[g_->GlobalConn(stage, conn)];
-    if (choice + 1 < cd.sorted.size()) {
-      out->push_back(choice + 1);
-      ++stats_.succ_returned;
-    }
+    if (choice + 1 >= g_->stages[stage].ConnSize(conn)) return;
+    uint32_t*& sorted = sorted_[g_->GlobalConn(stage, conn)];
+    if (sorted == nullptr) [[unlikely]] sorted = Init(stage, conn);
+    out->push_back(choice + 1);
+    ++stats_.succ_returned;
   }
 
   const StrategyStats& stats() const { return stats_; }
 
  private:
-  struct ConnData {
-    bool init = false;
-    ArenaVector<uint32_t> sorted;  // member positions, ascending by value
-  };
-
-  void Init(uint32_t stage, uint32_t conn) {
-    ConnData& cd = conns_[g_->GlobalConn(stage, conn)];
-    if (cd.init) return;
-    cd.init = true;
+  /// The connector's member positions, ascending by value, in the arena.
+  uint32_t* Init(uint32_t stage, uint32_t conn) {
     const auto& st = g_->stages[stage];
-    cd.sorted = MakeArenaVector<uint32_t>(arena_);
-    cd.sorted.resize(st.ConnSize(conn));
-    for (uint32_t i = 0; i < cd.sorted.size(); ++i) {
-      cd.sorted[i] = st.conn_begin[conn] + i;
-    }
-    std::sort(cd.sorted.begin(), cd.sorted.end(), [&](uint32_t a, uint32_t b) {
+    const uint32_t size = st.ConnSize(conn);
+    uint32_t* sorted = arena_->AllocateArray<uint32_t>(size);
+    for (uint32_t i = 0; i < size; ++i) sorted[i] = st.conn_begin[conn] + i;
+    std::sort(sorted + 1, sorted + size, [&](uint32_t a, uint32_t b) {
       return D::Less(st.member_val[a], st.member_val[b]);
     });
     ++stats_.conns_initialized;
-    stats_.init_work += cd.sorted.size();
+    stats_.init_work += size;
+    return sorted;
   }
 
   const StageGraph<D>* g_;
   Arena* arena_;
-  std::vector<ConnData> conns_;
+  std::vector<uint32_t*> sorted_;  // null until first touch; arena-backed
   StrategyStats stats_;
 };
 
-/// Lazy Sort (Chang et al.): heapify on first access, then migrate choices
-/// from the heap into a sorted list as successors are requested.
+/// Lazy Sort (Chang et al.): migrate choices into a sorted list as
+/// successors are requested. Choice handles are ranks: 0 = best member,
+/// 1 = second best, ...
 ///
-/// Budget-aware fast path (SetBudget): when the enumerator knows it will
-/// emit at most k answers, most connectors only ever serve their best and
-/// second-best members — the deviation candidates die in the bounded
-/// candidate queue without being popped. Initialization then does a linear
-/// top-two scan (no heap, no arena container) and defers the O(n) heapify
-/// until some deviation-of-a-deviation actually asks for rank 3+. Without a
-/// budget the classic heapify-up-front behavior is kept: an unbounded drain
-/// eventually requests deep ranks from every connector, so the upfront
-/// build amortizes.
+/// Ranks 0 and 1 come straight from the graph's heap layout (slot 0, and
+/// the lesser of slots 1 and 2), so a connector only asked for those — the
+/// common case, especially under a k-budget — costs nothing per session.
+/// The first request for rank 2 builds the connector's structure in the
+/// arena: the sorted prefix of member positions plus a frontier heap of the
+/// heap slots whose parents are already ranked. Each further rank pops the
+/// frontier and pushes that slot's two heap children: O(log k) per rank,
+/// never O(n).
 template <SelectiveDioid D>
 class LazyStrategy {
  public:
   static constexpr const char* kName = "Lazy";
-  // Choice handles are ranks into the connector's sorted order: 0 = best
-  // member, 1 = second best, ... — the contract behind the enumerator's
-  // O(1) deviation-from-top fast path (it pushes rank-1 candidates straight
-  // from the stage graph's precomputed conn_second without touching this
-  // strategy, and only initializes a connector when one of its deviation
-  // candidates is actually popped).
-  static constexpr bool kRankHandles = true;
 
-  /// The per-connector table holds one *pointer* per connector (zeroed in
-  /// one memset-sized sweep at session construction); the ConnData itself
-  /// is placement-new'd into the session arena on first touch. Serving
-  /// sessions that only skim a few connectors — the budgeted top-k shape —
-  /// therefore pay O(touched) construction, not O(total_connectors).
+  /// One 8-byte pointer per connector, zeroed at session construction; the
+  /// ConnData itself is placement-new'd into the session arena on the first
+  /// rank-2 request.
   LazyStrategy(const StageGraph<D>* g, Arena* arena)
       : g_(g), arena_(arena), conns_(g->total_connectors, nullptr) {}
 
-  /// Declare the enumeration budget (0 = unbounded); see the class comment.
-  void SetBudget(size_t k_budget) { budget_ = k_budget; }
-
-  /// Whether the connector's successor structure has been built.
-  bool Initialized(uint32_t stage, uint32_t conn) const {
-    return conns_[g_->GlobalConn(stage, conn)] != nullptr;
-  }
-
-  uint32_t Top(uint32_t stage, uint32_t conn) {
-    // Inlineable guard; the construction itself stays out of line (Top runs
-    // once per expansion stage per answer, almost always on a warm conn).
-    ConnData*& cd = conns_[g_->GlobalConn(stage, conn)];
-    if (cd == nullptr) [[unlikely]] cd = Init(stage, conn);
-    return 0;
-  }
+  uint32_t Top(uint32_t /*stage*/, uint32_t /*conn*/) { return 0; }
 
   uint32_t MemberPos(uint32_t stage, uint32_t conn, uint32_t choice) {
-    const auto& cd = *conns_[g_->GlobalConn(stage, conn)];
+    const auto& st = g_->stages[stage];
+    if (choice == 0) return st.ConnBest(conn);
+    if (choice == 1) return st.ConnSecond(conn);
+    const ConnData& cd = *conns_[g_->GlobalConn(stage, conn)];
     ANYK_DCHECK(choice < cd.sorted.size());
     return cd.sorted[choice];
   }
@@ -171,140 +149,75 @@ class LazyStrategy {
   template <typename Out>
   void Successors(uint32_t stage, uint32_t conn, uint32_t choice, Out* out) {
     ++stats_.succ_calls;
-    ConnData& cd = *conns_[g_->GlobalConn(stage, conn)];
-    // Materialize rank choice+1 if it is not sorted yet (building the
-    // deferred heap first if the top-two scan skipped it).
-    if (choice + 1 >= cd.sorted.size()) [[unlikely]] {
-      if (!cd.heaped) BuildDeferredHeap(stage, conn, &cd);
-      if (!cd.heap.Empty()) cd.sorted.push_back(cd.heap.PopMin());
+    const uint32_t next = choice + 1;
+    if (next >= g_->stages[stage].ConnSize(conn)) return;
+    if (next >= 2) [[unlikely]] {
+      // Materialize rank `next` if no earlier request has.
+      ConnData*& cd = conns_[g_->GlobalConn(stage, conn)];
+      if (cd == nullptr) cd = Init(stage, conn);
+      if (next >= cd->sorted.size()) RankNext(stage, conn, cd);
     }
-    if (choice + 1 < cd.sorted.size()) {
-      out->push_back(choice + 1);
-      ++stats_.succ_returned;
-    }
+    out->push_back(next);
+    ++stats_.succ_returned;
   }
 
   const StrategyStats& stats() const { return stats_; }
 
  private:
+  using V = typename D::Value;
   struct Cmp {
-    const StageGraph<D>* g;
-    uint32_t stage;
+    const V* vals;  // the stage's member_val
     bool operator()(uint32_t a, uint32_t b) const {
-      return D::Less(g->stages[stage].member_val[a],
-                     g->stages[stage].member_val[b]);
+      return D::Less(vals[a], vals[b]);
     }
   };
-  using ConnHeap = DAryHeap<uint32_t, Cmp, ArenaAllocator<uint32_t>, 4>;
+  using Frontier = DAryHeap<uint32_t, Cmp, ArenaAllocator<uint32_t>, 4>;
 
   struct ConnData {
-    bool heaped = false;           // heap built (holds the unsorted rest)
-    ArenaVector<uint32_t> sorted;  // drained prefix, ascending
-    ConnHeap heap{Cmp{nullptr, 0}};
+    ArenaVector<uint32_t> sorted;  // member positions of ranks 0, 1, 2, ...
+    Frontier frontier;  // unranked slots whose heap parent is ranked
   };
 
   ConnData* Init(uint32_t stage, uint32_t conn) {
+    const auto& st = g_->stages[stage];
     // Arena-allocated; never destroyed (ArenaAllocator deallocation is a
     // no-op anyway) — the memory dies with the session arena.
-    ConnData& cd = *new (arena_->Allocate(sizeof(ConnData), alignof(ConnData)))
-        ConnData();
-    const auto& st = g_->stages[stage];
-    const uint32_t begin = st.conn_begin[conn];
-    const uint32_t end = st.conn_begin[conn + 1];
-    cd.sorted = MakeArenaVector<uint32_t>(arena_);
-    const uint32_t size = end - begin;
-    if (budget_ != 0 && size <= kScanThreshold) {
-      // Small connector under a budget: top-two scan, no heap, no arena
-      // container. Deviation candidates from it usually die unpopped in the
-      // bounded candidate queue, so the heap over the rest is built only if
-      // rank 3+ is ever requested (BuildDeferredHeap).
-      uint32_t best = begin;
-      uint32_t second = kNoPos;
-      for (uint32_t p = begin + 1; p < end; ++p) {
-        if (D::Less(st.member_val[p], st.member_val[best])) {
-          second = best;
-          best = p;
-        } else if (second == kNoPos ||
-                   D::Less(st.member_val[p], st.member_val[second])) {
-          second = p;
-        }
-      }
-      cd.sorted.push_back(best);
-      if (second != kNoPos) cd.sorted.push_back(second);
-      ++stats_.conns_initialized;
-      stats_.init_work += size;
-      return &cd;
+    ConnData* cd = new (arena_->Allocate(sizeof(ConnData), alignof(ConnData)))
+        ConnData{MakeArenaVector<uint32_t>(arena_),
+                 Frontier(Cmp{st.member_val.data()},
+                          ArenaAllocator<uint32_t>(arena_))};
+    const uint32_t best = st.ConnBest(conn);
+    const uint32_t second = st.ConnSecond(conn);
+    cd->sorted.push_back(best);
+    cd->sorted.push_back(second);
+    // The best's other child joins the frontier with the second's children.
+    const auto [first, last] = st.HeapChildren(conn, best);
+    for (uint32_t p = first; p < last; ++p) {
+      if (p != second) cd->frontier.Push(p);
     }
-    typename ConnHeap::Container all(ArenaAllocator<uint32_t>{arena_});
-    // Selection only pays when the kept set is a small fraction of the
-    // connector — otherwise most members enter the scan's max-heap and a
-    // plain heapify is cheaper. (Division, not multiplication: a huge --k
-    // must degrade to the plain unbounded-style build, not overflow.)
-    if (budget_ != 0 && budget_ < size / 4) {
-      // A budgeted run pops at most k candidates in total, so no connector
-      // can ever be asked for more than k+2 of its ranks. Selection scan:
-      // one pass holding the k+2 best in a small max-heap — O(n)
-      // comparisons with a rarely-taken branch (most members never beat
-      // the running k-th best), and every later pop pays an O(log k) heap
-      // instead of O(log n).
-      const size_t keep = budget_ + 2;
-      Cmp less{g_, stage};
-      auto greater = [&less](uint32_t a, uint32_t b) { return less(b, a); };
-      all.reserve(keep);
-      for (uint32_t p = begin; p < end; ++p) {
-        if (all.size() < keep) {
-          all.push_back(p);
-          if (all.size() == keep) DAryHeapify<4>(&all, greater);
-        } else if (less(p, all[0])) {
-          all[0] = p;
-          DArySiftDown<4>(all, 0, greater);
-        }
-      }
-    } else {
-      all.resize(size);
-      for (uint32_t i = 0; i < all.size(); ++i) all[i] = begin + i;
-    }
-    cd.heap = ConnHeap(Cmp{g_, stage}, ArenaAllocator<uint32_t>(arena_));
-    cd.heap.BuildFrom(std::move(all));  // O(n) bulk heapify
-    cd.heaped = true;
-    // The paper pops the top two up front: nearly all successor requests
-    // in one repeat-loop iteration ask for the second-best choice.
-    cd.sorted.push_back(cd.heap.PopMin());
-    if (!cd.heap.Empty()) cd.sorted.push_back(cd.heap.PopMin());
+    PushChildren(st, conn, second, cd);
     ++stats_.conns_initialized;
-    stats_.init_work += st.ConnSize(conn);
-    return &cd;
+    stats_.init_work += cd->frontier.Size();
+    return cd;
   }
 
-  /// Heapify everything the top-two scan left unsorted (first rank-3+
-  /// request on a budget-initialized connector).
-  void BuildDeferredHeap(uint32_t stage, uint32_t conn, ConnData* cd) {
-    cd->heaped = true;
-    const auto& st = g_->stages[stage];
-    const uint32_t begin = st.conn_begin[conn];
-    const uint32_t end = st.conn_begin[conn + 1];
-    if (end - begin <= cd->sorted.size()) return;  // nothing left
-    typename ConnHeap::Container rest(ArenaAllocator<uint32_t>{arena_});
-    rest.reserve(end - begin - cd->sorted.size());
-    for (uint32_t p = begin; p < end; ++p) {
-      if (p != cd->sorted[0] && (cd->sorted.size() < 2 || p != cd->sorted[1])) {
-        rest.push_back(p);
-      }
-    }
-    cd->heap = ConnHeap(Cmp{g_, stage}, ArenaAllocator<uint32_t>(arena_));
-    cd->heap.BuildFrom(std::move(rest));
+  /// Move the frontier's minimum into the sorted prefix as the next rank.
+  void RankNext(uint32_t stage, uint32_t conn, ConnData* cd) {
+    const uint32_t pos = cd->frontier.PopMin();
+    cd->sorted.push_back(pos);
+    PushChildren(g_->stages[stage], conn, pos, cd);
   }
 
-  static constexpr uint32_t kNoPos = UINT32_MAX;
-  // Connectors up to this size take the top-two scan under a budget; larger
-  // ones keep a (budget-capped) heap, whose build loop beats a branchy
-  // linear scan at scale.
-  static constexpr uint32_t kScanThreshold = 64;
+  /// Push the heap children of the member at `pos` onto the frontier.
+  static void PushChildren(const typename StageGraph<D>::Stage& st,
+                           uint32_t conn, uint32_t pos, ConnData* cd) {
+    const auto [first, last] = st.HeapChildren(conn, pos);
+    for (uint32_t p = first; p < last; ++p) cd->frontier.Push(p);
+  }
 
   const StageGraph<D>* g_;
   Arena* arena_;
-  std::vector<ConnData*> conns_;  // null until first touch; arena-backed
-  size_t budget_ = 0;             // 0 = unbounded
+  std::vector<ConnData*> conns_;  // null until rank 2 is needed
   StrategyStats stats_;
 };
 
@@ -319,7 +232,7 @@ class AllStrategy {
 
   // Choice handles are absolute member positions.
   uint32_t Top(uint32_t stage, uint32_t conn) {
-    return g_->stages[stage].conn_best[conn];
+    return g_->stages[stage].ConnBest(conn);
   }
 
   uint32_t MemberPos(uint32_t /*stage*/, uint32_t /*conn*/, uint32_t choice) {
@@ -330,7 +243,7 @@ class AllStrategy {
   void Successors(uint32_t stage, uint32_t conn, uint32_t choice, Out* out) {
     ++stats_.succ_calls;
     const auto& st = g_->stages[stage];
-    if (choice != st.conn_best[conn]) return;  // siblings already inserted
+    if (choice != st.ConnBest(conn)) return;  // siblings already inserted
     for (uint32_t p = st.conn_begin[conn]; p < st.conn_begin[conn + 1]; ++p) {
       if (p == choice) continue;
       out->push_back(p);
@@ -345,31 +258,28 @@ class AllStrategy {
   StrategyStats stats_;
 };
 
-/// Take2 (this paper): heapify once; the heap is never popped but used as a
-/// static partial order — the successors of a slot are its two children.
+/// Take2 (this paper): the graph's connector heap used as a *static*
+/// partial order — a choice is a heap slot, and its successors are the
+/// slot's two children. No per-session state at all.
 template <SelectiveDioid D>
 class Take2Strategy {
  public:
   static constexpr const char* kName = "Take2";
 
-  Take2Strategy(const StageGraph<D>* g, Arena* arena)
-      : g_(g), arena_(arena), conns_(g->total_connectors) {}
+  Take2Strategy(const StageGraph<D>* g, Arena* /*arena*/) : g_(g) {}
 
-  uint32_t Top(uint32_t stage, uint32_t conn) {
-    Init(stage, conn);
-    return 0;  // heap slot 0
-  }
+  uint32_t Top(uint32_t /*stage*/, uint32_t /*conn*/) { return 0; }
 
   uint32_t MemberPos(uint32_t stage, uint32_t conn, uint32_t choice) {
-    return conns_[g_->GlobalConn(stage, conn)].heap[choice];
+    return g_->stages[stage].conn_begin[conn] + choice;
   }
 
   template <typename Out>
   void Successors(uint32_t stage, uint32_t conn, uint32_t choice, Out* out) {
     ++stats_.succ_calls;
-    const auto& cd = conns_[g_->GlobalConn(stage, conn)];
+    const uint32_t size = g_->stages[stage].ConnSize(conn);
     for (uint32_t child = 2 * choice + 1;
-         child <= 2 * choice + 2 && child < cd.heap.size(); ++child) {
+         child <= 2 * choice + 2 && child < size; ++child) {
       out->push_back(child);
       ++stats_.succ_returned;
     }
@@ -378,31 +288,7 @@ class Take2Strategy {
   const StrategyStats& stats() const { return stats_; }
 
  private:
-  struct ConnData {
-    bool init = false;
-    ArenaVector<uint32_t> heap;  // member positions in heap order
-  };
-
-  void Init(uint32_t stage, uint32_t conn) {
-    ConnData& cd = conns_[g_->GlobalConn(stage, conn)];
-    if (cd.init) return;
-    cd.init = true;
-    const auto& st = g_->stages[stage];
-    cd.heap = MakeArenaVector<uint32_t>(arena_);
-    cd.heap.resize(st.ConnSize(conn));
-    for (uint32_t i = 0; i < cd.heap.size(); ++i) {
-      cd.heap[i] = st.conn_begin[conn] + i;
-    }
-    Heapify(&cd.heap, [&](uint32_t a, uint32_t b) {
-      return D::Less(st.member_val[a], st.member_val[b]);
-    });
-    ++stats_.conns_initialized;
-    stats_.init_work += cd.heap.size();
-  }
-
   const StageGraph<D>* g_;
-  Arena* arena_;
-  std::vector<ConnData> conns_;
   StrategyStats stats_;
 };
 

@@ -13,6 +13,14 @@
 // pruning dangling states on the way (the semi-join reduction of
 // Yannakakis), and finishes with the root connector whose best entry is the
 // weight of the top-1 solution.
+//
+// Every connector's member range is stored as a binary min-heap on
+// member_val (Floyd's heapify at build time, O(n) in total and no extra
+// bytes). That order is the shared, immutable half of every successor
+// strategy: slot 0 is the connector's best member, the lesser of slots 1
+// and 2 its second best, and slots 2i+1 / 2i+2 are the successors of slot i
+// (Take2's partial order, the frontier Lazy and Recursive expand). Sessions
+// therefore keep state only for the connectors they actually touch.
 
 #ifndef ANYK_DP_STAGE_GRAPH_H_
 #define ANYK_DP_STAGE_GRAPH_H_
@@ -70,21 +78,17 @@ struct StageGraph {
     // --- connectors (this stage's states grouped by parent join key) ---
     std::vector<uint32_t> conn_begin;  // connector c spans members
                                        // [conn_begin[c], conn_begin[c+1])
-    std::vector<uint32_t> members;     // state ids, grouped by connector
+    // State ids grouped by connector; each connector's range is a binary
+    // min-heap on member_val (slot i = position conn_begin[c] + i).
+    std::vector<uint32_t> members;
     std::vector<V> member_val;         // weight[s] (+) pi1[s], aligned
-    std::vector<uint32_t> conn_best;   // member *position* of the minimum
-    // Member position of the *second*-best member (kNoMember for singleton
-    // connectors). Precomputed here — shared by every session — so the
-    // budget-aware ANYK-PART fast path can push a deviation-from-top in
-    // O(1) without initializing any per-session successor structure.
-    std::vector<uint32_t> conn_second;
     uint32_t conn_global_base = 0;     // first global connector id
 
     // --- build-time statistics (planner inputs, src/plan/stats.h) ---
     // Exact number of subtree solutions rooted at each connector: the DP
     //   count(s)    = prod over child slots of conn_count(connector),
     //   conn_count(c) = sum over members s of count(s),
-    // piggybacked on the state loop and the CSR scatter — no extra pass.
+    // piggybacked on the state loop and the heap-ordering pass.
     // Doubles saturate to +inf on astronomically large outputs, which is
     // all the cost model needs. conn_count[kRootConn] of the root stage is
     // the query's total output size.
@@ -96,7 +100,65 @@ struct StageGraph {
     uint32_t ConnSize(uint32_t c) const {
       return conn_begin[c + 1] - conn_begin[c];
     }
-    const V& ConnBestVal(uint32_t c) const { return member_val[conn_best[c]]; }
+    /// Member position of the connector's best member: heap slot 0.
+    uint32_t ConnBest(uint32_t c) const { return conn_begin[c]; }
+    /// Member position of the second-best member, the lesser of heap slots
+    /// 1 and 2 (kNoMember for a singleton connector).
+    uint32_t ConnSecond(uint32_t c) const {
+      const uint32_t b = conn_begin[c];
+      const uint32_t size = conn_begin[c + 1] - b;
+      if (size < 2) return kNoMember;
+      if (size > 2 && D::Less(member_val[b + 2], member_val[b + 1])) {
+        return b + 2;
+      }
+      return b + 1;
+    }
+    const V& ConnBestVal(uint32_t c) const { return member_val[conn_begin[c]]; }
+    /// Member positions [first, last) of the heap children of the member at
+    /// position `pos` in connector c (slots 2i+1 and 2i+2 of slot i).
+    std::pair<uint32_t, uint32_t> HeapChildren(uint32_t c, uint32_t pos) const {
+      const uint32_t end = conn_begin[c + 1];
+      const uint32_t first =
+          std::min(conn_begin[c] + 2 * (pos - conn_begin[c]) + 1, end);
+      return {first, std::min(first + 2, end)};
+    }
+
+    /// Finish the connectors once members / member_val hold every choice
+    /// set: heap-order each range in place (Floyd's method, O(members)), and
+    /// fill conn_count and max_fanout from the per-state solution counts.
+    void FinishConnectors(std::span<const double> state_count) {
+      const size_t conns = NumConns();
+      conn_count.assign(conns, 0.0);
+      for (uint32_t c = 0; c < conns; ++c) {
+        const uint32_t b = conn_begin[c];
+        const uint32_t size = conn_begin[c + 1] - b;
+        max_fanout = std::max(max_fanout, size);
+        double cnt = 0.0;
+        for (uint32_t p = b; p < b + size; ++p) cnt += state_count[members[p]];
+        conn_count[c] = cnt;
+        for (uint32_t i = size / 2; i-- > 0;) SiftDown(b, size, i);
+      }
+    }
+
+   private:
+    /// Sift slot i of the size-n heap at position b down (members and
+    /// member_val move together).
+    void SiftDown(uint32_t b, uint32_t n, uint32_t i) {
+      const uint32_t m = members[b + i];
+      V v = std::move(member_val[b + i]);
+      for (uint32_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+        if (child + 1 < n &&
+            D::Less(member_val[b + child + 1], member_val[b + child])) {
+          ++child;
+        }
+        if (!D::Less(member_val[b + child], v)) break;
+        members[b + i] = members[b + child];
+        member_val[b + i] = std::move(member_val[b + child]);
+        i = child;
+      }
+      members[b + i] = m;
+      member_val[b + i] = std::move(v);
+    }
   };
 
   const TDPInstance* instance = nullptr;
@@ -202,7 +264,7 @@ StageGraph<D> BuildStageGraph(const TDPInstance& inst,
   std::vector<FlatKeyIndex> conn_of_key(L);
 
   // One stage's full build: state DP + pruning, key interning, CSR connector
-  // scatter, per-connector minima. Writes only stages[kk] / conn_of_key[kk]
+  // scatter, per-connector heap order. Writes only stages[kk] / conn_of_key[kk]
   // and reads its children's finished stages, so all stages of one
   // bottom-up wave can run concurrently.
   auto build_stage = [&](size_t kk) {
@@ -321,31 +383,12 @@ StageGraph<D> BuildStageGraph(const TDPInstance& inst,
     std::vector<V> comb(ns);
     dk.combine(st.weight.data(), st.pi1.data(), ns, comb.data());
     std::vector<uint32_t> cursor(st.conn_begin.begin(), st.conn_begin.end() - 1);
-    st.conn_count.assign(conns, 0.0);
     for (size_t s = 0; s < ns; ++s) {
       const uint32_t pos = cursor[conn_of_state_local[s]]++;
       st.members[pos] = static_cast<uint32_t>(s);
       st.member_val[pos] = comb[s];
-      st.conn_count[conn_of_state_local[s]] += state_count[s];
     }
-    st.conn_best.resize(conns);
-    st.conn_second.resize(conns);
-    for (size_t c = 0; c < conns; ++c) {
-      st.max_fanout = std::max(st.max_fanout, st.ConnSize(static_cast<uint32_t>(c)));
-      uint32_t best_pos = st.conn_begin[c];
-      uint32_t second_pos = StageGraph<D>::kNoMember;
-      for (uint32_t p = best_pos + 1; p < st.conn_begin[c + 1]; ++p) {
-        if (D::Less(st.member_val[p], st.member_val[best_pos])) {
-          second_pos = best_pos;
-          best_pos = p;
-        } else if (second_pos == StageGraph<D>::kNoMember ||
-                   D::Less(st.member_val[p], st.member_val[second_pos])) {
-          second_pos = p;
-        }
-      }
-      st.conn_best[c] = best_pos;
-      st.conn_second[c] = second_pos;
-    }
+    st.FinishConnectors(state_count);
   };
 
   // Bottom-up waves: height h = longest downward path below the stage. All

@@ -102,7 +102,11 @@ ThetaPathProblem<D> BuildThetaPathGraph(
   }
 
   // Bottom-up, last stage first. Each surviving parent state gets a private
-  // connector over the surviving child states its predicate admits.
+  // connector over the surviving child states its predicate admits; a
+  // stage's connectors are finished (heap order, counts) once its parent
+  // stage has been scanned. `count` holds the current stage's per-state
+  // solution counts.
+  std::vector<double> count;
   for (size_t k = L; k-- > 0;) {
     auto& st = g.stages[k];
     const Relation& rel = *relations[k];
@@ -115,61 +119,53 @@ ThetaPathProblem<D> BuildThetaPathGraph(
                                           static_cast<uint32_t>(r)));
         st.pi1.push_back(D::One());
       }
-    } else {
-      auto& child = g.stages[k + 1];
-      // Predicates take row spans; storage is columnar, so materialize each
-      // candidate pair into flat buffers (left once per r, right per state).
-      const Relation& child_rel = *relations[k + 1];
-      std::vector<Value> left_buf(rel.arity());
-      std::vector<Value> right_buf(child_rel.arity());
-      for (size_t r = 0; r < rows; ++r) {
-        rel.Row(r).CopyInto(left_buf.data());
-        // Private connector: matching surviving child states.
-        const uint32_t begin = static_cast<uint32_t>(child.members.size());
-        uint32_t best_pos = begin;
-        for (uint32_t cs = 0; cs < child.NumStates(); ++cs) {
-          child_rel.Row(child.row_of_state[cs]).CopyInto(right_buf.data());
-          if (!thetas[k](left_buf, right_buf)) {
-            continue;
-          }
-          const V val = D::Combine(child.weight[cs], child.pi1[cs]);
-          if (child.members.size() > begin &&
-              D::Less(val, child.member_val[best_pos])) {
-            best_pos = static_cast<uint32_t>(child.members.size());
-          }
-          child.members.push_back(cs);
-          child.member_val.push_back(val);
-        }
-        if (child.members.size() == begin) continue;  // dangling: prune
-        const uint32_t conn = static_cast<uint32_t>(child.conn_begin.size() - 1);
-        child.conn_best.push_back(best_pos);
-        child.conn_begin.push_back(static_cast<uint32_t>(child.members.size()));
-        st.row_of_state.push_back(static_cast<uint32_t>(r));
-        st.weight.push_back(LiftWeight<D>(rel.Weight(r), k, L,
-                                          static_cast<uint32_t>(r)));
-        st.pi1.push_back(child.member_val[best_pos]);
-        st.conn_of_state.push_back(conn);
+      count.assign(st.NumStates(), 1.0);
+      continue;
+    }
+    auto& child = g.stages[k + 1];
+    // Predicates take row spans; storage is columnar, so materialize each
+    // candidate pair into flat buffers (left once per r, right per state).
+    const Relation& child_rel = *relations[k + 1];
+    std::vector<Value> left_buf(rel.arity());
+    std::vector<Value> right_buf(child_rel.arity());
+    for (size_t r = 0; r < rows; ++r) {
+      rel.Row(r).CopyInto(left_buf.data());
+      // Private connector: matching surviving child states.
+      const size_t begin = child.members.size();
+      V best = D::Zero();
+      for (uint32_t cs = 0; cs < child.NumStates(); ++cs) {
+        child_rel.Row(child.row_of_state[cs]).CopyInto(right_buf.data());
+        if (!thetas[k](left_buf, right_buf)) continue;
+        const V val = D::Combine(child.weight[cs], child.pi1[cs]);
+        if (child.members.size() == begin || D::Less(val, best)) best = val;
+        child.members.push_back(cs);
+        child.member_val.push_back(val);
       }
+      if (child.members.size() == begin) continue;  // dangling: prune
+      st.conn_of_state.push_back(
+          static_cast<uint32_t>(child.conn_begin.size() - 1));
+      child.conn_begin.push_back(static_cast<uint32_t>(child.members.size()));
+      st.row_of_state.push_back(static_cast<uint32_t>(r));
+      st.weight.push_back(LiftWeight<D>(rel.Weight(r), k, L,
+                                        static_cast<uint32_t>(r)));
+      st.pi1.push_back(best);
+    }
+    child.FinishConnectors(count);
+    count.resize(st.NumStates());
+    for (size_t s = 0; s < st.NumStates(); ++s) {
+      count[s] = child.conn_count[st.conn_of_state[s]];
     }
   }
   // Root connector: all surviving root states.
   {
     auto& st = g.stages[0];
     const uint32_t ns = static_cast<uint32_t>(st.NumStates());
-    // Shift any existing connectors? Stage 0 has none yet (its connectors
-    // were never created because it has no parent); build the root group.
-    st.conn_begin = {0, ns};
+    if (ns > 0) st.conn_begin.push_back(ns);
     for (uint32_t s = 0; s < ns; ++s) {
       st.members.push_back(s);
       st.member_val.push_back(D::Combine(st.weight[s], st.pi1[s]));
     }
-    uint32_t best = 0;
-    for (uint32_t p = 1; p < ns; ++p) {
-      if (D::Less(st.member_val[p], st.member_val[best])) best = p;
-    }
-    st.conn_best = ns > 0 ? std::vector<uint32_t>{best}
-                          : std::vector<uint32_t>{};
-    if (ns == 0) st.conn_begin = {0};
+    st.FinishConnectors(count);
   }
   uint32_t base = 0;
   for (auto& st : g.stages) {

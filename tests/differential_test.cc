@@ -33,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include "anyk/factory.h"
+#include "anyk/prepared_query.h"
 #include "anyk/ranked_query.h"
 #include "anyk/sharded_query.h"
 #include "dioid/dioid.h"
@@ -46,6 +47,7 @@
 #include "util/random.h"
 
 #include "corpus.h"
+#include "test_util.h"
 
 namespace anyk {
 namespace {
@@ -228,6 +230,29 @@ INSTANTIATE_TEST_SUITE_P(Blocks, DifferentialTest,
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "block" + std::to_string(info.param);
                          });
+
+// ---------------------------------------------------------------------------
+// Connector layout: every stage graph the corpus prepares (tree plans and
+// each part of a cycle union) stores its connectors as member_val heaps,
+// the order all successor strategies share.
+// ---------------------------------------------------------------------------
+
+template <typename B>
+void ExpectCorpusLayout(const GeneratedCase& c) {
+  PreparedQuery<B> pq(c.db, c.q);
+  for (const auto& g : pq.graphs()) testing::ExpectHeapOrderedConnectors(*g);
+}
+
+TEST(ConnectorLayoutTest, CorpusGraphsAreHeapOrdered) {
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    const GeneratedCase c = MakeCase(seed);
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " " + c.label);
+    ExpectCorpusLayout<TropicalDioid>(c);
+    ExpectCorpusLayout<MaxPlusDioid>(c);
+    ExpectCorpusLayout<MinMaxDioid>(c);
+    ExpectCorpusLayout<MaxTimesDioid>(c);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Bounded-k sweep: a budget-aware run (EnumOptions::k_budget = k) must be

@@ -26,6 +26,7 @@
 #include "query/join_tree.h"
 #include "query/sql.h"
 #include "util/alloc_stats.h"
+#include "util/arena.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -132,6 +133,63 @@ TEST(InvariantTest, LazyInitializesConnectorsLazily) {
   // After one result only the connectors on one root-to-leaf path (plus the
   // root) can have been initialized: at most L.
   EXPECT_LE(e.strategy_stats().conns_initialized, f.g.stages.size());
+}
+
+// ---------------------------------------------------------------------------
+// Session open does not scale with the data: the connector heap order is
+// part of the shared stage graph, so a session only pays for the
+// connectors it touches — Take2 not even a pointer table.
+// ---------------------------------------------------------------------------
+
+/// Global-heap bytes allocated by constructing an enumerator of type E.
+template <typename E>
+uint64_t OpenBytes(const StageGraph<TropicalDioid>& g) {
+  const AllocCounts before = CurrentAllocCounts();
+  E e(&g);
+  return AllocDelta(before, CurrentAllocCounts()).bytes;
+}
+
+TEST(InvariantTest, Take2SessionOpenIsIndependentOfDataSize) {
+  Fixture small(300, 4, 88, 10.0);
+  Fixture large(3000, 4, 88, 10.0);
+  ASSERT_GT(large.g.total_connectors, 5 * small.g.total_connectors);
+  using Take2 = AnyKPartEnumerator<TropicalDioid, Take2Strategy>;
+  EXPECT_EQ(OpenBytes<Take2>(small.g), OpenBytes<Take2>(large.g));
+  Take2 e(&large.g);
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(e.Next().has_value());
+  EXPECT_EQ(e.strategy_stats().init_work, 0u);
+  EXPECT_EQ(e.strategy_stats().conns_initialized, 0u);
+}
+
+TEST(InvariantTest, SessionOpenCostsAtMostOnePointerPerConnector) {
+  Fixture f(20000, 4, 89, 10.0);
+  // 8-byte table entries plus a size-independent constant: the arena's
+  // first block and the enumerator's O(L) buffers.
+  const uint64_t bound =
+      8 * uint64_t{f.g.total_connectors} + Arena::kDefaultFirstBlockBytes + 1024;
+  EXPECT_LE(OpenBytes<RecursiveEnumerator<TropicalDioid>>(f.g), bound);
+  EXPECT_LE(
+      (OpenBytes<AnyKPartEnumerator<TropicalDioid, LazyStrategy>>(f.g)), bound);
+  EXPECT_LE(
+      (OpenBytes<AnyKPartEnumerator<TropicalDioid, EagerStrategy>>(f.g)),
+      bound);
+}
+
+TEST(InvariantTest, RecursiveFirstAnswerPushesOLNotRootSize) {
+  Fixture f(3000, 4, 90, 10.0);
+  const size_t L = f.g.stages.size();
+  const uint32_t root_size =
+      f.g.stages[0].ConnSize(StageGraph<TropicalDioid>::kRootConn);
+  ASSERT_GT(root_size, 100 * L) << "root connector too small to tell";
+  RecursiveEnumerator<TropicalDioid> e(&f.g);
+  ASSERT_TRUE(e.Next().has_value());
+  // One seed entry per connector on the answer's root-to-leaf path.
+  EXPECT_LE(e.stats().heap_pushes, L);
+  ASSERT_TRUE(e.Next().has_value());
+  // The second answer pops at most once per stage, admitting two heap
+  // children and one deeper rank per pop, then seeds at most one new
+  // connector per stage below its own root member.
+  EXPECT_LE(e.stats().heap_pushes, L + 3 * L + L);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include "anyk/enumerator.h"
 #include "dioid/dioid.h"
 #include "dioid/lift.h"
+#include "dp/stage_graph.h"
 #include "join/brute_force.h"
 #include "query/cq.h"
 #include "storage/database.h"
@@ -95,6 +96,52 @@ void ExpectMatchesOracle(Enumerator<D>* e, const Database& db,
     std::sort(got_w.begin(), got_w.end());
     std::sort(want_w.begin(), want_w.end());
     ASSERT_EQ(got_w, want_w) << "witness multiset mismatch";
+  }
+}
+
+/// The stage graph's connector layout (dp/stage_graph.h): every connector
+/// range is a binary min-heap on member_val under D::Less, member_val[p]
+/// still equals weight ⊗ pi1 of members[p], and the best / second-best
+/// accessors agree with a brute-force scan.
+template <SelectiveDioid D>
+void ExpectHeapOrderedConnectors(const StageGraph<D>& g) {
+  for (size_t k = 0; k < g.stages.size(); ++k) {
+    const auto& st = g.stages[k];
+    ASSERT_EQ(st.members.size(), st.member_val.size());
+    for (uint32_t c = 0; c < st.NumConns(); ++c) {
+      const uint32_t b = st.conn_begin[c];
+      const uint32_t n = st.ConnSize(c);
+      ASSERT_GT(n, 0u) << "stage " << k << " connector " << c;
+      uint32_t best = b;
+      for (uint32_t i = 0; i < n; ++i) {
+        const uint32_t s = st.members[b + i];
+        ASSERT_TRUE(DioidEq<D>(st.member_val[b + i],
+                               D::Combine(st.weight[s], st.pi1[s])))
+            << "stage " << k << " connector " << c << " slot " << i;
+        if (i > 0) {
+          ASSERT_FALSE(D::Less(st.member_val[b + i],
+                               st.member_val[b + (i - 1) / 2]))
+              << "heap order broken: stage " << k << " connector " << c
+              << " slot " << i;
+        }
+        if (D::Less(st.member_val[b + i], st.member_val[best])) best = b + i;
+      }
+      ASSERT_EQ(st.ConnBest(c), b);
+      ASSERT_TRUE(DioidEq<D>(st.ConnBestVal(c), st.member_val[best]));
+      const uint32_t second = st.ConnSecond(c);
+      if (n == 1) {
+        ASSERT_EQ(second, StageGraph<D>::kNoMember);
+        continue;
+      }
+      ASSERT_NE(second, b);
+      ASSERT_LT(second - b, n);
+      uint32_t want = second;
+      for (uint32_t p = b + 1; p < b + n; ++p) {
+        if (D::Less(st.member_val[p], st.member_val[want])) want = p;
+      }
+      ASSERT_TRUE(DioidEq<D>(st.member_val[second], st.member_val[want]))
+          << "second best: stage " << k << " connector " << c;
+    }
   }
 }
 
