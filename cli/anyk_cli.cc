@@ -670,6 +670,8 @@ bool ParseCliArgs(int argc, char** argv, CliOptions* opt, std::string* error) {
     *error = "no relations given; pass at least one --relation NAME=FILE.csv";
     return false;
   }
+  *error = RepeatedRelationError(opt->relations);
+  if (!error->empty()) return false;
   if (opt->query.empty()) {
     *error = "no query given; pass --query SQL or --query-file FILE";
     return false;
@@ -731,14 +733,17 @@ int RunCli(const CliOptions& opt) {
   // ranked streams are noise; the mode measures serving throughput).
   const bool print_results = opt.print_results && opt.sessions <= 1;
   std::vector<CliResult> results;
-  char weight_buf[32];
+  // One encoded RESULT line, handed to `out` before the next row arrives.
+  // Reserved for the widest row (rank, %.6g weight and every value at full
+  // width), so streaming answers allocates nothing.
+  std::string row;
+  row.reserve(64 + 21 * columns.size());
   RowFn sink;
   if (print_results && text) {
     sink = [&](size_t k, double weight, const std::vector<Value>& values) {
-      std::snprintf(weight_buf, sizeof(weight_buf), "%.6g", weight);
-      out << "RESULT," << k << "," << weight_buf;
-      for (Value v : values) out << "," << v;
-      out << "\n";
+      row.clear();
+      AppendResultRow(&row, k, weight, values);
+      out.write(row.data(), static_cast<std::streamsize>(row.size()));
     };
   } else if (print_results) {
     sink = [&](size_t, double weight, const std::vector<Value>& values) {

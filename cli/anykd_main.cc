@@ -243,6 +243,8 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* opt, std::string* error) {
     *error = "no relations given; pass at least one --relation NAME=FILE.csv";
     return false;
   }
+  *error = anyk::RepeatedRelationError(opt->relations);
+  if (!error->empty()) return false;
   return true;
 }
 

@@ -20,9 +20,12 @@ Rules (see docs/STATIC_ANALYSIS.md for the rationale of each):
                        (src/query/, src/join/, src/workload/ — parse- and
                        reference-layer code); anywhere else needs a justified
                        suppression (the server's cold control-plane maps).
-  locale-parse         No locale-dependent float parsing or locale mutation:
-                       std::stod/stof/stold, atof, strtod/strtof, setlocale.
-                       Use std::from_chars (see src/storage/csv.cc).
+  locale-parse         No locale-dependent float parsing, formatting or
+                       locale mutation: std::stod/stof/stold, atof,
+                       strtod/strtof, setlocale, and floating-point
+                       conversions (%g, %f, %e, %a) in *printf format
+                       strings. Use std::from_chars / std::to_chars (see
+                       src/storage/csv.cc, AppendResultRow).
   iostream-header      No `#include <iostream>` in library headers — it
                        injects a static iostream initializer into every TU.
   raw-mutex            `std::mutex` / `std::condition_variable` / std lock
@@ -76,6 +79,13 @@ _UNORDERED_MAP = re.compile(r"\bstd::unordered_map\s*<")
 _LOCALE = re.compile(
     r"\bstd::sto(?:d|f|ld)\s*\(|\batof\s*\(|\bstrto(?:d|f|ld)\s*\(|\bsetlocale\s*\("
 )
+# A *printf call, and a floating-point conversion in its format string
+# (flags, width, precision, length modifier, then one of aAeEfFgG); `%%`
+# is a literal percent sign and is removed before matching.
+_PRINTF_CALL = re.compile(r"\b\w*printf\s*\(")
+_FLOAT_CONVERSION = re.compile(
+    r"%[-+ #0']*(?:\d+|\*)?(?:\.(?:\d+|\*)?)?(?:hh|h|ll|l|L|j|z|t)?[aAeEfFgG]"
+)
 _IOSTREAM = re.compile(r'#\s*include\s*<iostream>')
 _RAW_MUTEX = re.compile(
     r"\bstd::(?:mutex|timed_mutex|recursive_mutex|shared_mutex|"
@@ -94,6 +104,15 @@ class Rule:
     def check_line(self, relpath: str, code: str) -> str | None:
         """Return a message if the stripped code line violates the rule."""
         raise NotImplementedError
+
+    def check_file(self, relpath: str, code: list[str],
+                   literals: list[list[str]]) -> dict[int, str]:
+        """Findings that span lines: 0-based line index -> message.
+
+        `code` is the stripped source, `literals[i]` the string-literal
+        contents that stripping blanked on line i.
+        """
+        return {}
 
 
 class HeapHotPath(Rule):
@@ -150,8 +169,9 @@ class LocaleParse(Rule):
     def __init__(self) -> None:
         super().__init__(
             "locale-parse",
-            "no locale-dependent parsing (stod/atof/strtod/setlocale); "
-            "std::from_chars is locale-independent",
+            "no locale-dependent parsing (stod/atof/strtod/setlocale) or "
+            "printf float formatting (%g/%f/%e); std::from_chars and "
+            "std::to_chars are locale-independent",
         )
 
     def applies_to(self, relpath: str) -> bool:
@@ -162,6 +182,35 @@ class LocaleParse(Rule):
             return ("locale-dependent parse or locale mutation; use "
                     "std::from_chars (see src/storage/csv.cc)")
         return None
+
+    def check_file(self, relpath: str, code: list[str],
+                   literals: list[list[str]]) -> dict[int, str]:
+        # printf's radix character follows LC_NUMERIC, so a float conversion
+        # prints "2,5" under a comma-decimal locale. Every line of a *printf
+        # call's argument list is checked: the format string often sits on
+        # the line after `snprintf(`.
+        hits: dict[int, str] = {}
+        depth = 0
+        for idx, line in enumerate(code):
+            pos = 0
+            in_call = depth > 0
+            while True:
+                if depth == 0:
+                    m = _PRINTF_CALL.search(line, pos)
+                    if m is None:
+                        break
+                    depth, pos, in_call = 1, m.end(), True
+                while pos < len(line) and depth > 0:
+                    depth += {"(": 1, ")": -1}.get(line[pos], 0)
+                    pos += 1
+                if depth > 0:
+                    break
+            if in_call and any(_FLOAT_CONVERSION.search(lit.replace("%%", ""))
+                               for lit in literals[idx]):
+                hits[idx] = ("floating-point conversion in a printf format "
+                             "follows the process locale; use std::to_chars "
+                             "(see AppendResultRow in src/anyk/query_handle.h)")
+        return hits
 
 
 class IostreamHeader(Rule):
@@ -217,17 +266,20 @@ _ALLOW = re.compile(r"anyk-lint:\s*allow\(([a-z0-9-]+)\)")
 _ALLOW_FILE = re.compile(r"anyk-lint:\s*allow-file\(([a-z0-9-]+)\)")
 
 
-def strip_code(lines: list[str]) -> list[str]:
-    """Return per-line code with comments and string/char literals blanked.
+def strip_code(lines: list[str]) -> tuple[list[str], list[list[str]]]:
+    """Return per-line code with comments and string/char literals blanked,
+    plus the contents of each line's "..." literals.
 
     A tiny state machine, not a real lexer: tracks // and /* */ comments and
     "..." / '...' literals with backslash escapes. Raw strings are treated as
     ordinary strings, which errs toward blanking too much — fine for linting.
     """
     out: list[str] = []
+    literals: list[list[str]] = []
     in_block = False
     for line in lines:
         buf: list[str] = []
+        line_literals: list[str] = []
         i, n = 0, len(line)
         while i < n:
             c = line[i]
@@ -248,6 +300,7 @@ def strip_code(lines: list[str]) -> list[str]:
             if c in "\"'":
                 quote = c
                 i += 1
+                start = i
                 while i < n:
                     if line[i] == "\\":
                         i += 2
@@ -256,12 +309,15 @@ def strip_code(lines: list[str]) -> list[str]:
                         i += 1
                         break
                     i += 1
+                if quote == '"':
+                    line_literals.append(line[start:i - 1])
                 buf.append(quote + quote)  # keep delimiters, drop contents
                 continue
             buf.append(c)
             i += 1
         out.append("".join(buf))
-    return out
+        literals.append(line_literals)
+    return out, literals
 
 
 @dataclass
@@ -283,8 +339,10 @@ class FileReport:
 
 def lint_text(relpath: str, text: str) -> FileReport:
     lines = text.splitlines()
-    code = strip_code(lines)
+    code, literals = strip_code(lines)
     report = FileReport()
+    file_hits = {rule.rule_id: rule.check_file(relpath, code, literals)
+                 for rule in RULES if rule.applies_to(relpath)}
 
     file_allows: set[str] = set()
     for line in lines:
@@ -310,6 +368,8 @@ def lint_text(relpath: str, text: str) -> FileReport:
             if not rule.applies_to(relpath):
                 continue
             message = rule.check_line(relpath, code[idx]) if is_code else None
+            if message is None:
+                message = file_hits[rule.rule_id].get(idx)
             if message is None:
                 continue
             if rule.rule_id in file_allows:
@@ -424,6 +484,27 @@ SELF_TEST_CASES = [
      "// std::stod honors the locale, so we avoid it\n"
      "const char* msg = \"std::stod(x)\";\n",
      set()),
+    ("printf %g in src",
+     "src/util/bad.h", 'std::snprintf(buf, sizeof(buf), "%.6g", v);\n',
+     {"locale-parse"}),
+    ("fprintf %f in cli",
+     "cli/bad.cc", 'std::fprintf(stderr, "took %.3f s\\n", secs);\n',
+     {"locale-parse"}),
+    ("format string on the line after snprintf(",
+     "src/server/bad.cc",
+     "const int n = std::snprintf(\n"
+     '    buf, sizeof(buf), "%e",\n'
+     "    x);\n",
+     {"locale-parse"}),
+    ("%zu is not a float conversion",
+     "cli/ok.cc", 'std::printf("loaded %zu rows\\n", n);\n', set()),
+    ("\\u%04x is not a float conversion",
+     "src/util/ok.h", 'std::snprintf(buf, sizeof(buf), "\\\\u%04x", c);\n',
+     set()),
+    ("%% is a literal percent sign",
+     "cli/ok.cc", 'std::printf("100%%g\\n");\n', set()),
+    ("a float format outside a printf call does not fire",
+     "src/util/ok.h", 'const char* kDoc = "%.6g";\n', set()),
     ("iostream in a library header",
      "src/util/bad.h", "#include <iostream>\n", {"iostream-header"}),
     ("iostream in a .cc is fine",

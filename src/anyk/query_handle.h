@@ -20,6 +20,7 @@
 #define ANYK_ANYK_QUERY_HANDLE_H_
 
 #include <algorithm>
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -49,6 +50,26 @@ namespace anyk {
 /// variables when there is none).
 using RowFn =
     std::function<void(size_t rank, double weight, const std::vector<Value>&)>;
+
+/// Appends one answer as a text row, `RESULT,<rank>,<weight>,<values...>\n`:
+/// the one encoder of `anyk`'s text output and `anykd`'s text pages. The
+/// weight prints as printf's "%.6g" does in the C locale — std::to_chars
+/// with precision 6 is specified to match it — whatever the process locale.
+inline void AppendResultRow(std::string* out, size_t rank, double weight,
+                            const std::vector<Value>& values) {
+  char buf[32];
+  out->append("RESULT,");
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), rank).ptr);
+  out->push_back(',');
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), weight,
+                                 std::chars_format::general, 6)
+                       .ptr);
+  for (Value v : values) {
+    out->push_back(',');
+    out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  }
+  out->push_back('\n');
+}
 
 /// The smallest page buffer a stream allocates: pages of up to this many
 /// rows never grow it.

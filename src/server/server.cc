@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <cstdio>
 #include <deque>
 #include <exception>
 #include <memory>
@@ -67,25 +66,21 @@ HttpResponse TextError(int status, const std::string& message) {
 }
 
 // Renders one page of answers in either wire format. Text pages are the
-// exact RESULT rows of the CLI (`RESULT,<rank>,<weight %.6g>,<values...>`),
+// exact RESULT rows of the CLI (AppendResultRow, anyk/query_handle.h),
 // which is what makes the server byte-comparable to a serial drain.
 class PageWriter {
  public:
   PageWriter(bool json, const char* cache, const char* plan)
       : json_(json) {
     if (json_) {
-      writer_.emplace(body_stream_);
+      writer_.emplace(json_stream_);
       writer_->BeginObject();
       if (cache != nullptr) writer_->KV("cache", cache);
       if (plan != nullptr) writer_->KV("plan", plan);
       writer_->Key("results").BeginArray();
     } else {
-      if (cache != nullptr) {
-        body_stream_ << "CACHE," << cache << "\n";
-      }
-      if (plan != nullptr) {
-        body_stream_ << "PLAN," << plan << "\n";
-      }
+      if (cache != nullptr) body_.append("CACHE,").append(cache) += '\n';
+      if (plan != nullptr) body_.append("PLAN,").append(plan) += '\n';
     }
   }
 
@@ -101,11 +96,7 @@ class PageWriter {
         writer_->EndObject();
         return;
       }
-      char weight_buf[32];
-      std::snprintf(weight_buf, sizeof(weight_buf), "%.6g", weight);
-      body_stream_ << "RESULT," << rank << "," << weight_buf;
-      for (Value v : values) body_stream_ << "," << v;
-      body_stream_ << "\n";
+      AppendResultRow(&body_, rank, weight, values);
     };
   }
 
@@ -121,18 +112,22 @@ class PageWriter {
       writer_->EndObject();
       writer_->Finish();
       resp.content_type = "application/json";
-    } else if (cursor.empty()) {
-      body_stream_ << "DONE," << produced_total << "\n";
-    } else {
-      body_stream_ << "CURSOR," << cursor << "\n";
+      resp.body = json_stream_.str();
+      return resp;
     }
-    resp.body = body_stream_.str();
+    if (cursor.empty()) {
+      body_.append("DONE,").append(std::to_string(produced_total)) += '\n';
+    } else {
+      body_.append("CURSOR,").append(cursor) += '\n';
+    }
+    resp.body = std::move(body_);
     return resp;
   }
 
  private:
   bool json_;
-  std::ostringstream body_stream_;
+  std::string body_;                // text pages
+  std::ostringstream json_stream_;  // JSON pages, through writer_
   std::optional<JsonWriter> writer_;
 };
 

@@ -4,8 +4,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -16,19 +19,84 @@ namespace anyk {
 
 namespace {
 
-// Manual split: istringstream+getline would drop a trailing empty field
-// ("1,2," must be three fields so the ragged-row check can fire).
-std::vector<std::string> SplitLine(const std::string& line, char delim) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  while (true) {
-    const size_t end = line.find(delim, start);
-    if (end == std::string::npos) {
-      fields.push_back(line.substr(start));
-      return fields;
+// Reads a file one '\n'-terminated line at a time through one reused
+// buffer, kCsvReadBlock bytes per std::fread, with std::getline's framing:
+// a final line without '\n' is still a line, and a trailing '\n' ends the
+// last line rather than starting an empty one. Plain reads, not mmap: a
+// file truncated mid-load then reads short instead of raising SIGBUS.
+class LineReader {
+ public:
+  explicit LineReader(const std::string& path)
+      : path_(path), file_(std::fopen(path.c_str(), "rb")) {
+    ANYK_CHECK(file_ != nullptr) << "cannot open " << path;
+  }
+  ~LineReader() { std::fclose(file_); }
+  LineReader(const LineReader&) = delete;
+  LineReader& operator=(const LineReader&) = delete;
+
+  /// The next line without its '\n', viewing the buffer until the next
+  /// call; false at end of file.
+  bool Next(std::string_view* line) {
+    while (true) {
+      const char* begin = buf_.data() + pos_;
+      const size_t avail = end_ - pos_;
+      if (const void* nl = std::memchr(begin, '\n', avail)) {
+        const size_t len = static_cast<const char*>(nl) - begin;
+        *line = std::string_view(begin, len);
+        pos_ += len + 1;
+        return true;
+      }
+      if (eof_) {
+        if (avail == 0) return false;
+        *line = std::string_view(begin, avail);
+        pos_ = end_;
+        return true;
+      }
+      Refill();
     }
-    fields.push_back(line.substr(start, end - start));
-    start = end + 1;
+  }
+
+ private:
+  // Carries the unfinished line to the front of the buffer (doubling the
+  // buffer when that line already fills it) and reads behind it.
+  void Refill() {
+    const size_t carry = end_ - pos_;
+    std::memmove(buf_.data(), buf_.data() + pos_, carry);
+    pos_ = 0;
+    end_ = carry;
+    if (end_ == buf_.size()) buf_.resize(2 * buf_.size());
+    const size_t want = buf_.size() - end_;
+    const size_t got = std::fread(buf_.data() + end_, 1, want, file_);
+    end_ += got;
+    if (got < want) {
+      ANYK_CHECK(!std::ferror(file_)) << "cannot read " << path_;
+      eof_ = true;
+    }
+  }
+
+  const std::string& path_;
+  std::vector<char> buf_ = std::vector<char>(kCsvReadBlock);
+  std::FILE* file_;  // opened after buf_ is allocated, so nothing leaks it
+  size_t pos_ = 0;  // start of the unread bytes
+  size_t end_ = 0;  // end of the bytes read so far
+  bool eof_ = false;
+};
+
+// Manual split: istringstream+getline would drop a trailing empty field
+// ("1,2," must be three fields so the ragged-row check can fire). The
+// fields view `line`; `fields` keeps its capacity from row to row.
+void SplitLine(std::string_view line, char delim,
+               std::vector<std::string_view>* fields) {
+  fields->clear();
+  while (true) {
+    const void* hit = std::memchr(line.data(), delim, line.size());
+    if (hit == nullptr) {
+      fields->push_back(line);
+      return;
+    }
+    const size_t len = static_cast<const char*>(hit) - line.data();
+    fields->push_back(line.substr(0, len));
+    line.remove_prefix(len + 1);
   }
 }
 
@@ -37,7 +105,7 @@ std::string At(const std::string& path, size_t line) {
   return path + ":" + std::to_string(line);
 }
 
-int64_t ParseInt(const std::string& s, const std::string& path, size_t line) {
+int64_t ParseInt(std::string_view s, const std::string& path, size_t line) {
   int64_t v = 0;
   const char* begin = s.data();
   const char* end = s.data() + s.size();
@@ -53,7 +121,7 @@ int64_t ParseInt(const std::string& s, const std::string& path, size_t line) {
 // a comma-decimal locale (de_DE style) it silently truncates "3.5" to 3.
 // from_chars always parses the C locale ("." radix) regardless of any
 // setlocale() the embedding process performed.
-double ParseDouble(const std::string& s, const std::string& path, size_t line) {
+double ParseDouble(std::string_view s, const std::string& path, size_t line) {
   double v = 0;
   const char* begin = s.data();
   const char* end = s.data() + s.size();
@@ -75,6 +143,13 @@ double ParseDouble(const std::string& s, const std::string& path, size_t line) {
   return v;
 }
 
+// Appends `v` in its shortest round-trip form (std::to_chars: C locale).
+template <typename T>
+void AppendNumber(std::string* out, T v) {
+  char buf[32];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
 }  // namespace
 
 Relation& LoadRelationCsv(Database* db, const std::string& name,
@@ -87,11 +162,10 @@ Relation& LoadRelationCsv(Database* db, const std::string& name,
       << path << ": CsvOptions sets both weight_column ("
       << opts.weight_column
       << ") and weight_last; pick one";
-  std::ifstream in(path);
-  ANYK_CHECK(in.good()) << "cannot open " << path;
-  std::string line;
+  LineReader in(path);
+  std::string_view line;
   size_t lineno = 0;
-  if (opts.has_header && std::getline(in, line)) ++lineno;
+  if (opts.has_header && in.Next(&line)) ++lineno;
 
   size_t arity = 0;
   int weight_column = opts.weight_column;
@@ -111,12 +185,13 @@ Relation& LoadRelationCsv(Database* db, const std::string& name,
     for (auto& col : shard_cols) col.clear();
     shard_weights.clear();
   };
+  std::vector<std::string_view> fields;
   size_t loaded = 0;
-  while (std::getline(in, line)) {
+  while (in.Next(&line)) {
     ++lineno;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
-    auto fields = SplitLine(line, opts.delimiter);
+    SplitLine(line, opts.delimiter, &fields);
     if (rel == nullptr) {
       const size_t cols = fields.size();
       if (opts.weight_last) weight_column = static_cast<int>(cols) - 1;
@@ -156,8 +231,22 @@ Relation& LoadRelationCsv(Database* db, const std::string& name,
   return *rel;
 }
 
+std::string RepeatedRelationError(const std::vector<CsvRelation>& sources) {
+  for (size_t i = 0; i < sources.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (sources[j].name == sources[i].name) {
+        return "relation " + sources[i].name + " is given twice: " +
+               sources[j].path + " and " + sources[i].path;
+      }
+    }
+  }
+  return "";
+}
+
 void LoadRelationsCsv(Database* db, const std::vector<CsvRelation>& sources,
                       const CsvOptions& opts, ThreadPool* pool) {
+  const std::string repeated = RepeatedRelationError(sources);
+  ANYK_CHECK(repeated.empty()) << repeated;
   std::vector<Database> parsed(sources.size());
   ParallelFor(pool, sources.size(), [&](size_t i) {
     LoadRelationCsv(&parsed[i], sources[i].name, sources[i].path, opts);
@@ -171,11 +260,16 @@ void SaveRelationCsv(const Relation& rel, const std::string& path,
                      char delimiter) {
   std::ofstream out(path);
   ANYK_CHECK(out.good()) << "cannot write " << path;
+  std::string row;
   for (size_t r = 0; r < rel.NumRows(); ++r) {
+    row.clear();
     for (size_t c = 0; c < rel.arity(); ++c) {
-      out << rel.At(r, c) << delimiter;
+      AppendNumber(&row, rel.At(r, c));
+      row += delimiter;
     }
-    out << rel.Weight(r) << "\n";
+    AppendNumber(&row, rel.Weight(r));
+    row += '\n';
+    out.write(row.data(), static_cast<std::streamsize>(row.size()));
   }
 }
 

@@ -33,9 +33,16 @@ struct CsvOptions {
   size_t limit = 0;
 };
 
+/// Bytes the loader reads per block into its one reused buffer. A line that
+/// straddles two blocks is carried over; one longer than a block grows the
+/// buffer.
+inline constexpr size_t kCsvReadBlock = size_t{64} << 10;
+
 /// Load `path` into a new relation `name`; arity is the number of non-weight
 /// columns of the first row. CHECK-fails on malformed input; messages carry
-/// `path:line` so CLI users can locate the offending row.
+/// `path:line` so CLI users can locate the offending row. Rows parse in
+/// place from block reads, so a load allocates O(columns + log rows) times,
+/// not per row.
 Relation& LoadRelationCsv(Database* db, const std::string& name,
                           const std::string& path, const CsvOptions& opts = {});
 
@@ -45,16 +52,25 @@ struct CsvRelation {
   std::string path;
 };
 
+/// The usage error for the first relation name `sources` declares twice,
+/// naming both of its files; empty when every name is distinct. Loading a
+/// repeat would keep only the later file under that name, so `anyk` and
+/// `anykd` reject it (exit 2) and LoadRelationsCsv CHECK-fails on it.
+std::string RepeatedRelationError(const std::vector<CsvRelation>& sources);
+
 /// Load every source as its own relation of `db` (the recipe both `anyk`
 /// and `anykd` use). On a multi-threaded `pool` the files parse in
 /// parallel, each into a private database; they then merge into `db`
 /// serially in declaration order, so diagnostics and relation order stay
 /// deterministic. The first CHECK failure propagates (ParallelFor rethrows
-/// it). `pool` may be null (serial).
+/// it). `pool` may be null (serial). A repeated name CHECK-fails before any
+/// file is read (RepeatedRelationError).
 void LoadRelationsCsv(Database* db, const std::vector<CsvRelation>& sources,
                       const CsvOptions& opts, ThreadPool* pool);
 
-/// Write a relation as CSV with the weight as the last column.
+/// Write a relation as CSV with the weight as the last column. Numbers take
+/// the shortest form that reads back bit-identical (std::to_chars), in the C
+/// locale.
 void SaveRelationCsv(const Relation& rel, const std::string& path,
                      char delimiter = ',');
 

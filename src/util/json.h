@@ -9,6 +9,7 @@
 #ifndef ANYK_UTIL_JSON_H_
 #define ANYK_UTIL_JSON_H_
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -75,9 +76,12 @@ class JsonWriter {
       out_ << "null";
       return *this;
     }
+    // printf's "%.12g" bytes in the C locale, whatever the process locale.
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    out_ << buf;
+    const char* end = std::to_chars(buf, buf + sizeof(buf), v,
+                                    std::chars_format::general, 12)
+                          .ptr;
+    out_.write(buf, end - buf);
     return *this;
   }
   JsonWriter& Bool(bool v) {

@@ -1,9 +1,10 @@
 // Golden-file tests for the `anyk` CLI binary: --help, ranked SQL queries
 // over the checked-in CSVs in tests/data/, the JSON report schema, and the
 // documented exit codes for malformed input (0 success, 1 runtime, 2 usage).
+// The usage checks both binaries share also run against `anykd`.
 //
-// The binary path and data directory come from CMake via ANYK_CLI_BIN /
-// ANYK_TEST_DATA_DIR compile definitions.
+// The binary paths and data directory come from CMake via ANYK_CLI_BIN /
+// ANYKD_BIN / ANYK_TEST_DATA_DIR compile definitions.
 
 #include <sys/wait.h>
 
@@ -20,8 +21,8 @@ struct CliRun {
   std::string output;  // stdout + stderr combined
 };
 
-CliRun RunCli(const std::string& args) {
-  const std::string cmd = std::string(ANYK_CLI_BIN) + " " + args + " 2>&1";
+CliRun RunBinary(const std::string& binary, const std::string& args) {
+  const std::string cmd = binary + " " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << "popen failed for: " << cmd;
   CliRun run;
@@ -34,6 +35,8 @@ CliRun RunCli(const std::string& args) {
   run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return run;
 }
+
+CliRun RunCli(const std::string& args) { return RunBinary(ANYK_CLI_BIN, args); }
 
 std::string Data(const std::string& file) {
   return std::string(ANYK_TEST_DATA_DIR) + "/" + file;
@@ -444,6 +447,25 @@ TEST(CliTest, BadAlgorithmExitsTwo) {
                       " --algorithm quantum --query \"SELECT * FROM R\"");
   EXPECT_EQ(run.exit_code, 2);
   EXPECT_NE(run.output.find("unknown algorithm"), std::string::npos);
+}
+
+TEST(CliTest, RepeatedRelationNameExitsTwoNamingBothFiles) {
+  // Loading both would keep only the second file under R while the report
+  // named the first.
+  const std::string args = "--relation R=" + Data("r.csv") +
+                           " --relation R=" + Data("s.csv");
+  const std::string message = "relation R is given twice: " + Data("r.csv") +
+                              " and " + Data("s.csv");
+  CliRun run = RunCli(args + " --query \"SELECT * FROM R\"");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find(message), std::string::npos) << run.output;
+
+  // `timeout`: a daemon that accepted the flags would otherwise serve
+  // forever instead of failing this test.
+  CliRun daemon =
+      RunBinary(std::string("timeout 20 ") + ANYKD_BIN, args + " --port 0");
+  EXPECT_EQ(daemon.exit_code, 2) << daemon.output;
+  EXPECT_NE(daemon.output.find(message), std::string::npos) << daemon.output;
 }
 
 }  // namespace

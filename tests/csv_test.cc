@@ -1,16 +1,26 @@
 // CsvLoader tests: options (header, delimiter, weight column, row limit),
 // save/load roundtrip, and — the part the CLI depends on for diagnosable
-// failures — error messages that carry the file name and line number.
+// failures — error messages that carry the file name and line number. The
+// block parser is pinned two more ways: an allocation bound (rows parse in
+// place, not through the allocator) and a seeded mutation fuzz against the
+// line-at-a-time reference reader (tests/csv_reference.h).
 
+#include <bit>
 #include <clocale>
 #include <cstddef>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <vector>
 #include <gtest/gtest.h>
 
+#include "csv_reference.h"
 #include "storage/csv.h"
 #include "storage/database.h"
+#include "util/alloc_stats.h"
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace anyk {
 namespace {
@@ -135,6 +145,15 @@ TEST(CsvTest, MissingFileReportsPath) {
   EXPECT_DEATH(
       LoadRelationCsv(&db, "R", "/nonexistent/missing.csv", CsvOptions{}),
       "cannot open /nonexistent/missing\\.csv");
+}
+
+TEST(CsvTest, ReadErrorReportsPath) {
+  // A directory opens but every read fails (EISDIR): that is a read error,
+  // not an empty file.
+  const std::string dir = ::testing::TempDir();
+  Database db;
+  EXPECT_DEATH(LoadRelationCsv(&db, "R", dir, CsvOptions{}),
+               "cannot read " + dir);
 }
 
 TEST(CsvTest, HeaderOnlyFileSaysNoDataRows) {
@@ -278,6 +297,364 @@ TEST(CsvTest, ThrowingHandlerTurnsCheckFailuresIntoExceptions) {
     SetCheckFailureHandler(prev);
     EXPECT_NE(std::string(e.what()).find("throwing.csv:2"),
               std::string::npos);
+  }
+}
+
+// ---- Saving: numbers survive a save/load round trip bit for bit. ----
+
+TEST(CsvTest, SaveReloadKeepsWeightsBitIdentical) {
+  // Six significant digits (an ofstream's default) would save 123456789 as
+  // 1.23457e+08, which reloads as 123457000.
+  const double weights[] = {1234567.5, 123456789, 0.1, -2.5e17, 1e-300};
+  const Value values[] = {0, -1, std::numeric_limits<Value>::min(),
+                          std::numeric_limits<Value>::max(), 1234567890123};
+  Database db;
+  Relation& rel = db.AddRelation("R", 2);
+  for (size_t i = 0; i < 5; ++i) {
+    rel.Add({values[i], values[4 - i]}, weights[i]);
+  }
+  const std::string path = ::testing::TempDir() + "precision.csv";
+  SaveRelationCsv(rel, path);
+
+  Database db2;
+  CsvOptions opts;
+  opts.weight_last = true;
+  const Relation& back = LoadRelationCsv(&db2, "R", path, opts);
+  ASSERT_EQ(back.NumRows(), 5u);
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(back.At(i, 0), values[i]);
+    EXPECT_EQ(back.At(i, 1), values[4 - i]);
+    EXPECT_EQ(std::bit_cast<uint64_t>(back.Weight(i)),
+              std::bit_cast<uint64_t>(weights[i]))
+        << "row " << i << ": saved " << weights[i] << ", reloaded "
+        << back.Weight(i);
+  }
+}
+
+// ---- Repeated relation names: a usage error, never a silent replace. ----
+
+TEST(CsvTest, RepeatedRelationNameNamesBothFiles) {
+  EXPECT_EQ(RepeatedRelationError({{"R", "a.csv"}, {"S", "b.csv"}}), "");
+  EXPECT_EQ(RepeatedRelationError(
+                {{"R", "a.csv"}, {"S", "b.csv"}, {"R", "c.csv"}}),
+            "relation R is given twice: a.csv and c.csv");
+}
+
+TEST(CsvTest, LoadRelationsRejectsARepeatBeforeReadingAnyFile) {
+  auto prev = SetCheckFailureHandler(&ThrowingCheckHandler);
+  Database db;
+  std::string error;
+  try {
+    LoadRelationsCsv(&db, {{"R", "/nonexistent/a.csv"},
+                           {"R", "/nonexistent/b.csv"}},
+                     CsvOptions{}, nullptr);
+  } catch (const CheckError& e) {
+    error = e.what();
+  }
+  SetCheckFailureHandler(prev);
+  EXPECT_EQ(error,
+            "relation R is given twice: /nonexistent/a.csv and "
+            "/nonexistent/b.csv");
+}
+
+// ---- The block parser: allocation bound. ----
+
+TEST(CsvTest, LoadAllocatesPerBlockNotPerRow) {
+  // 100k rows (~1.6 MB, 26 read blocks, 25 staging shards). A
+  // line-at-a-time loader makes 3 operator-new calls per row (a getline
+  // string plus a vector of field strings): 300k here. What may remain is
+  // the read buffer, the staging columns and the relation's geometric
+  // growth.
+  constexpr size_t kRows = 100000;
+  std::string content;
+  for (size_t i = 0; i < kRows; ++i) {
+    content += std::to_string(i * 7919 % 50000) + "," +
+               std::to_string(i % 50000) + "," + std::to_string(i % 10001) +
+               "\n";
+  }
+  const std::string path = WriteTemp("alloc.csv", content);
+  Database db;
+  CsvOptions opts;
+  opts.weight_last = true;
+  const AllocCounts before = CurrentAllocCounts();
+  const Relation& rel = LoadRelationCsv(&db, "R", path, opts);
+  const uint64_t news = AllocDelta(before, CurrentAllocCounts()).news;
+  ASSERT_EQ(rel.NumRows(), kRows);
+  EXPECT_LE(news, 200u) << "operator new calls for a " << kRows
+                        << "-row load";
+}
+
+// ---- The block parser: seeded mutation fuzz against the reference. ----
+
+// What one load produced: the relation (values row-major, weights as bit
+// patterns so -0.0 and every last ulp count) or the CheckError message.
+struct LoadOutcome {
+  std::string error;
+  size_t arity = 0;
+  std::vector<Value> values;
+  std::vector<uint64_t> weight_bits;
+
+  bool operator==(const LoadOutcome&) const = default;
+};
+
+template <typename LoadFn>
+LoadOutcome Load(LoadFn load, const std::string& path,
+                 const CsvOptions& opts) {
+  LoadOutcome out;
+  Database db;
+  try {
+    const Relation& rel = load(&db, "R", path, opts);
+    out.arity = rel.arity();
+    for (size_t r = 0; r < rel.NumRows(); ++r) {
+      for (size_t c = 0; c < rel.arity(); ++c) {
+        out.values.push_back(rel.At(r, c));
+      }
+      out.weight_bits.push_back(std::bit_cast<uint64_t>(rel.Weight(r)));
+    }
+  } catch (const CheckError& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+// Printable form of a (possibly binary) CSV text for failure messages.
+std::string Escaped(const std::string& text) {
+  std::string out;
+  for (size_t i = 0; i < text.size() && i < 400; ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (c < 0x20 || c >= 0x7f) {
+      out += "\\x" + std::to_string(c);
+    } else {
+      out += static_cast<char>(c);
+    }
+  }
+  if (text.size() > 400) {
+    out += "...(" + std::to_string(text.size()) + " bytes)";
+  }
+  return out;
+}
+
+std::string Describe(const LoadOutcome& o) {
+  if (!o.error.empty()) return "CheckError '" + Escaped(o.error) + "'";
+  return "relation arity=" + std::to_string(o.arity) +
+         " rows=" + std::to_string(o.weight_bits.size());
+}
+
+// Loads `text` with both readers under `opts`; they must agree exactly.
+::testing::AssertionResult SameAsReference(const std::string& path,
+                                           const std::string& text,
+                                           const CsvOptions& opts) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  }
+  const LoadOutcome got = Load(&LoadRelationCsv, path, opts);
+  const LoadOutcome want = Load(&csv_reference::LoadRelationCsv, path, opts);
+  if (got == want) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "block parser: " << Describe(got)
+         << "\nreference:    " << Describe(want) << "\noptions: delimiter="
+         << (opts.delimiter == '\t' ? "\\t" : ",")
+         << " header=" << opts.has_header
+         << " weight_column=" << opts.weight_column
+         << " weight_last=" << opts.weight_last << " limit=" << opts.limit
+         << "\nfile: " << Escaped(text);
+}
+
+// Every option combination the fuzz sweeps for one file: header on and off;
+// weight last, explicit (`explicit_weight`, which may be out of range) or
+// none; row limit 0, 1 and 7.
+std::vector<CsvOptions> OptionSweep(char delim, int explicit_weight) {
+  std::vector<CsvOptions> sweep;
+  for (bool header : {false, true}) {
+    for (int weight : {-1, explicit_weight, -2}) {  // -2: weight_last
+      for (size_t limit : {0, 1, 7}) {
+        CsvOptions opts;
+        opts.delimiter = delim;
+        opts.has_header = header;
+        opts.weight_last = weight == -2;
+        opts.weight_column = weight == -2 ? -1 : weight;
+        opts.limit = limit;
+        sweep.push_back(opts);
+      }
+    }
+  }
+  return sweep;
+}
+
+// One field in a shape the loader accepts: a signed integer, maybe padded
+// with blanks; as a `weight` also with a '+', a fraction or an exponent.
+std::string ValidField(Rng* rng, bool weight) {
+  const std::string digits = std::to_string(rng->Below(100000));
+  switch (rng->Below(weight ? 7 : 4)) {
+    case 0: return "-" + digits;
+    case 1: return " " + digits + "  ";
+    case 4: return "+" + digits;
+    case 5: return digits + "." + std::to_string(rng->Below(1000));
+    case 6: return digits + "e" + std::to_string(rng->Uniform(-5, 5));
+    default: return digits;
+  }
+}
+
+// A well-formed CSV text: `rows` rows of `cols` fields (the last one
+// weight-shaped), with LF or CRLF endings, the odd blank line, and a header
+// line when `header` is set.
+std::string ValidCsv(Rng* rng, char delim, size_t cols, size_t rows,
+                     bool header) {
+  std::string text;
+  if (header) {
+    for (size_t c = 0; c < cols; ++c) {
+      if (c > 0) text += delim;
+      text += "col" + std::to_string(c);
+    }
+    text += '\n';
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    if (rng->Bernoulli(0.05)) text += rng->Bernoulli(0.5) ? "\n" : "\r\n";
+    for (size_t c = 0; c < cols; ++c) {
+      if (c > 0) text += delim;
+      text += ValidField(rng, c + 1 == cols);
+    }
+    text += rng->Bernoulli(0.2) ? "\r\n" : "\n";
+  }
+  return text;
+}
+
+// Applies one seeded mutation: byte insert/delete/replace, an inserted
+// CR, LF, NUL, delimiter, space, '+', '-', '.' or 'e', truncation, two
+// lines joined, a line duplicated, or the final newline dropped.
+void Mutate(Rng* rng, char delim, std::string* text) {
+  const size_t pos = text->empty() ? 0 : rng->Below(text->size());
+  const char specials[] = {'\r', '\n', '\0', delim, ' ', '+', '-', '.', 'e'};
+  switch (rng->Below(9)) {
+    case 0:
+      text->insert(pos, 1, static_cast<char>(rng->Below(256)));
+      break;
+    case 1:
+      if (!text->empty()) text->erase(pos, 1);
+      break;
+    case 2:
+      if (!text->empty()) (*text)[pos] = static_cast<char>(rng->Below(256));
+      break;
+    case 3:
+    case 4:  // the specials are where the parser's branches are
+      text->insert(pos, 1, specials[rng->Below(sizeof(specials))]);
+      break;
+    case 5:
+      text->resize(pos);
+      break;
+    case 6: {  // join: drop the line break after `pos`
+      const size_t nl = text->find('\n', pos);
+      if (nl != std::string::npos) text->erase(nl, 1);
+      break;
+    }
+    case 7: {  // duplicate the line holding `pos`
+      const size_t begin = text->rfind('\n', pos);
+      const size_t from = begin == std::string::npos ? 0 : begin + 1;
+      const size_t nl = text->find('\n', pos);
+      const size_t to = nl == std::string::npos ? text->size() : nl + 1;
+      text->insert(from, text->substr(from, to - from));
+      break;
+    }
+    default:
+      if (!text->empty() && text->back() == '\n') text->pop_back();
+      break;
+  }
+}
+
+// Installs the throwing CHECK handler for one test: a loader failure must
+// surface as CheckError in both readers, never as an abort.
+class CsvFuzzTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    prev_ = SetCheckFailureHandler(&ThrowingCheckHandler);
+  }
+  void TearDown() override { SetCheckFailureHandler(prev_); }
+
+ private:
+  internal::CheckFailureHandler prev_ = nullptr;
+};
+
+TEST_F(CsvFuzzTest, MutatedSmallFilesMatchTheReferenceReader) {
+  const std::string path = ::testing::TempDir() + "fuzz_small.csv";
+  Rng rng(20201017);
+  size_t compared = 0;
+  for (char delim : {',', '\t'}) {
+    for (int file = 0; file < 150; ++file) {
+      const size_t cols = 1 + rng.Below(4);
+      std::string text =
+          ValidCsv(&rng, delim, cols, rng.Below(12), rng.Bernoulli(0.3));
+      const size_t mutations = file % 10 == 0 ? 0 : 1 + rng.Below(3);
+      for (size_t m = 0; m < mutations; ++m) Mutate(&rng, delim, &text);
+      const int explicit_weight = static_cast<int>(rng.Below(cols + 1));
+      for (const CsvOptions& opts : OptionSweep(delim, explicit_weight)) {
+        ASSERT_TRUE(SameAsReference(path, text, opts));
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 2u * 150u * 18u);
+}
+
+TEST_F(CsvFuzzTest, MultiBlockFilesMatchTheReferenceReader) {
+  // ~4.5 read blocks of rows, so lines straddle every block boundary; each
+  // variant also gets mutations aimed at the boundaries themselves.
+  const std::string path = ::testing::TempDir() + "fuzz_blocks.csv";
+  Rng rng(4242);
+  const std::string base = ValidCsv(&rng, ',', 3, 24000, /*header=*/false);
+  ASSERT_GT(base.size(), 4 * kCsvReadBlock);
+  // One line longer than a block: a value padded with blanks (accepted),
+  // and a field of garbage (diagnosed with the whole field quoted).
+  const std::string pad(kCsvReadBlock + 17, ' ');
+  const std::string garbage(kCsvReadBlock + 5, 'x');
+  std::vector<std::string> variants = {
+      base,
+      "7,8," + pad + "9\n" + base,            // first line > one block
+      base + "1," + pad + "2,3",              // last line, no '\n'
+      base.substr(0, 3 * kCsvReadBlock + 1) + "\n5," + pad + "6,7\n" +
+          base.substr(3 * kCsvReadBlock + 1),  // mid-file, blank line first
+      "1,2,3\n4," + garbage + ",6\n" + base,
+  };
+  for (size_t k = 1; k <= 4; ++k) {  // around each block boundary
+    for (size_t at : {k * kCsvReadBlock - 1, k * kCsvReadBlock}) {
+      for (char c : {'\r', '\n', '\0', 'x'}) {
+        std::string v = base;
+        v.insert(at, 1, c);
+        variants.push_back(std::move(v));
+      }
+      std::string crlf = base;  // a CRLF split across the boundary
+      crlf.insert(at, "\r\n");
+      variants.push_back(std::move(crlf));
+      std::string cut = base;
+      cut.erase(at, 1);
+      variants.push_back(std::move(cut));
+    }
+  }
+  for (int i = 0; i < 8; ++i) {
+    std::string v = base;
+    for (int m = 0; m < 3; ++m) Mutate(&rng, ',', &v);
+    variants.push_back(std::move(v));
+  }
+  for (const std::string& text : variants) {
+    for (bool header : {false, true}) {
+      for (int weight : {-1, 1, -2}) {  // none, explicit, weight_last
+        CsvOptions opts;
+        opts.has_header = header;
+        opts.weight_last = weight == -2;
+        opts.weight_column = weight == -2 ? -1 : weight;
+        ASSERT_TRUE(SameAsReference(path, text, opts));
+      }
+    }
+    CsvOptions limited;  // stops the read two blocks in
+    limited.weight_last = true;
+    limited.limit = 10000;
+    ASSERT_TRUE(SameAsReference(path, text, limited));
   }
 }
 

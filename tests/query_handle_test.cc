@@ -2,15 +2,22 @@
 // server both drain: for every dioid name, for each plan family (acyclic
 // tree, cycle union, generic-join fallback), unsharded and sharded, with
 // and without a SELECT list, the paged, projected, ranked stream must equal
-// a drain of the typed ShardedPreparedQuery<D> it wraps.
+// a drain of the typed ShardedPreparedQuery<D> it wraps. The text-row
+// encoder both binaries share (AppendResultRow) and JsonWriter's doubles
+// are swept byte for byte against the printf formats they replaced.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,7 +30,9 @@
 #include "dioid/tropical.h"
 #include "query/sql.h"
 #include "storage/database.h"
+#include "util/json.h"
 #include "util/logging.h"
+#include "util/random.h"
 #include "workload/generators.h"
 
 namespace anyk {
@@ -253,6 +262,66 @@ TEST(QueryHandleTest, ParseAlgorithmIsCaseInsensitiveAndStrict) {
   // Bytes >= 0x80 are negative as char; they must not reach std::tolower
   // as negative ints (undefined behavior).
   EXPECT_FALSE(ParseAlgorithm("l\xc3\xa4zy").has_value());
+}
+
+// ---- Number formatting: std::to_chars against the printf it replaced. ----
+
+// Seeded doubles: integers up to 1e9, halves, the %g notation switches
+// (1e-5, 1e16, 999999.5 rounding up to 1e+06), -0.0, and random finite
+// bit patterns; every value also with its sign flipped.
+std::vector<double> SweepDoubles() {
+  std::vector<double> sweep = {0.0,  -0.0,       1e-5,     1e-4,  1e16,
+                               1e15, 999999.5,   999999.4, 0.1,   123456.5,
+                               1e9,  1e-300,     5e-324,   1e300, 2.5e17,
+                               std::numeric_limits<double>::max()};
+  for (int i = 0; i <= 20000; ++i) sweep.push_back(i);
+  for (int i = 0; i < 20000; ++i) sweep.push_back(i + 0.5);
+  Rng rng(77);
+  for (int i = 0; i < 20000; ++i) {
+    const auto n = static_cast<double>(rng.Below(1000000001));
+    sweep.push_back(n);
+    sweep.push_back(n + 0.5);
+    sweep.push_back(n / 1024);
+  }
+  for (int i = 0; i < 100000; ++i) {
+    const double d = std::bit_cast<double>(rng.Next());
+    if (std::isfinite(d)) sweep.push_back(d);
+  }
+  const size_t n = sweep.size();
+  for (size_t i = 0; i < n; ++i) sweep.push_back(-sweep[i]);
+  return sweep;
+}
+
+TEST(ResultRowTest, MatchesPrintfG6ByteForByte) {
+  const std::vector<Value> values = {7, -3, std::numeric_limits<Value>::min(),
+                                     std::numeric_limits<Value>::max()};
+  std::string row;
+  char want[160];
+  for (double w : SweepDoubles()) {
+    row.clear();
+    AppendResultRow(&row, 42, w, values);
+    std::snprintf(want, sizeof(want), "RESULT,42,%.6g,7,-3,%lld,%lld\n", w,
+                  static_cast<long long>(values[2]),
+                  static_cast<long long>(values[3]));
+    ASSERT_EQ(row, want) << "bits 0x" << std::hex
+                         << std::bit_cast<uint64_t>(w);
+  }
+  row.clear();
+  AppendResultRow(&row, std::numeric_limits<size_t>::max(), 1.5, {});
+  EXPECT_EQ(row, "RESULT," +
+                     std::to_string(std::numeric_limits<size_t>::max()) +
+                     ",1.5\n");
+}
+
+TEST(ResultRowTest, JsonDoubleMatchesPrintfG12ByteForByte) {
+  char want[64];
+  for (double w : SweepDoubles()) {
+    std::ostringstream got;
+    JsonWriter(got).Double(w);
+    std::snprintf(want, sizeof(want), "%.12g", w);
+    ASSERT_EQ(got.str(), want) << "bits 0x" << std::hex
+                               << std::bit_cast<uint64_t>(w);
+  }
 }
 
 }  // namespace
