@@ -16,6 +16,7 @@
 
 #include "anyk/factory.h"
 #include "anyk/query_handle.h"
+#include "plan/planner.h"
 #include "query/sql.h"
 #include "storage/database.h"
 #include "storage/kernels.h"
@@ -97,8 +98,8 @@ struct RunReport {
   std::vector<SessionReport> sessions;
   double aggregate_answers_per_sec = 0;
   // Planner section (schema v4): what ran (identical to the request except
-  // for `auto`, where the prepare-time decision substitutes), the one-line
-  // planner summary, and — on request — the full EXPLAIN text.
+  // for `auto`, where the planner's decision for the limit substitutes),
+  // the one-line planner summary, and — on request — the full EXPLAIN text.
   std::string resolved_algorithm;
   std::string planner_summary;
   std::string explain_text;
@@ -171,7 +172,7 @@ void DrainSessions(const QueryHandle& handle, Algorithm algo, size_t limit,
   workers.reserve(num_sessions);
   for (SessionReport& session : rep->sessions) {
     workers.emplace_back([&handle, &timer, algo, limit, sr = &session] {
-      const std::unique_ptr<PageStream> stream = handle.Open(algo);
+      const std::unique_ptr<PageStream> stream = handle.Open(algo, limit);
       while (!stream->done() && (limit == 0 || sr->produced < limit)) {
         // A first page of one row keeps the per-session TTF exact.
         size_t want = sr->produced == 0 ? 1 : kPageRows;
@@ -213,9 +214,10 @@ void DrainSessions(const QueryHandle& handle, Algorithm algo, size_t limit,
 
 /// Prepare the statement into a query handle (charged to preprocessing, as
 /// in the paper) and drain it: serially through `sink`, or with
-/// `num_sessions` > 1 through that many concurrent streams.
+/// `num_sessions` > 1 through that many concurrent streams. Every stream
+/// runs under `limit` (--k or the SQL LIMIT; 0 = all) as its k budget.
 RunReport RunQuery(const Database& db, SqlStatement stmt,
-                   const std::string& dioid, Algorithm algo,
+                   const std::string& dioid, Algorithm algo, size_t limit,
                    const ShardedQueryOptions& qopts,
                    const std::vector<size_t>& cps, const RowFn& sink,
                    size_t num_sessions, bool want_explain) {
@@ -225,16 +227,17 @@ RunReport RunQuery(const Database& db, SqlStatement stmt,
   const std::unique_ptr<QueryHandle> handle =
       MakeQueryHandle(db, std::move(stmt), dioid, qopts);
   rep.plan = handle->plan_name();
+  const plan::PlanDecision decision = handle->decision(limit);
   rep.resolved_algorithm = AlgorithmName(
-      algo == Algorithm::kAuto ? handle->decision().algorithm : algo);
-  rep.planner_summary = handle->decision().Summary();
-  if (want_explain) rep.explain_text = handle->Explain();
+      algo == Algorithm::kAuto ? decision.algorithm : algo);
+  rep.planner_summary = decision.Summary();
+  if (want_explain) rep.explain_text = handle->Explain(limit);
 
   if (num_sessions > 1) {
     rep.preprocessing_seconds = timer.Seconds();
     const AllocCounts at_enum = CurrentAllocCounts();
     rep.preprocessing_allocs = AllocDelta(at_start, at_enum).news;
-    DrainSessions(*handle, algo, handle->limit(), num_sessions, timer, &rep);
+    DrainSessions(*handle, algo, limit, num_sessions, timer, &rep);
     rep.enumeration_allocs = AllocDelta(at_enum, CurrentAllocCounts()).news;
     rep.peak_rss_kb = PeakRssKb();
     return rep;
@@ -244,11 +247,11 @@ RunReport RunQuery(const Database& db, SqlStatement stmt,
   // preprocessing, like the paper charges it, so enumeration_allocs keeps
   // meaning "allocations while answers stream" and stays 0 for the
   // arena-backed plans.
-  const std::unique_ptr<PageStream> stream = handle->Open(algo);
+  const std::unique_ptr<PageStream> stream = handle->Open(algo, limit);
   rep.preprocessing_seconds = timer.Seconds();
   const AllocCounts at_enum = CurrentAllocCounts();
   rep.preprocessing_allocs = AllocDelta(at_start, at_enum).news;
-  DrainSerial(stream.get(), handle->limit(), cps, sink, timer, &rep);
+  DrainSerial(stream.get(), limit, cps, sink, timer, &rep);
   rep.enumeration_allocs = AllocDelta(at_enum, CurrentAllocCounts()).news;
   rep.peak_rss_kb = PeakRssKb();
   if (rep.produced > 0 && (rep.checkpoints.empty() ||
@@ -754,10 +757,6 @@ int RunCli(const CliOptions& opt) {
   ShardedQueryOptions qopts;
   // --kernels was validated at flag-parse time.
   ParseKernelKind(opt.kernels, &qopts.prepare.enum_opts.kernels);
-  // Budget-aware top-k fast path: --k / SQL LIMIT reaches every enumerator
-  // as EnumOptions::k_budget (bounded O(k) candidate heaps, batch partial
-  // sort) instead of merely truncating the drain loop.
-  qopts.prepare.enum_opts.k_budget = limit;
   qopts.prepare.pool = &pool;
   // `auto` also unlocks the planner's topology choice (join-tree root /
   // stage order), not just the strategy pick.
@@ -769,8 +768,12 @@ int RunCli(const CliOptions& opt) {
   qopts.shards = opt.shards;
   qopts.parallel_drain = opt.threads > 1 && opt.shards > 1;
 
-  const RunReport rep = RunQuery(db, std::move(stmt), dioid, algo, qopts, cps,
-                                 sink, opt.sessions, opt.explain);
+  // Budget-aware top-k fast path: --k / SQL LIMIT reaches every enumerator
+  // as EnumOptions::k_budget (bounded O(k) candidate heaps, batch partial
+  // sort) through the stream it opens, instead of merely truncating the
+  // drain loop.
+  const RunReport rep = RunQuery(db, std::move(stmt), dioid, algo, limit,
+                                 qopts, cps, sink, opt.sessions, opt.explain);
 
   if (text) {
     out << "# plan=" << rep.plan << "\n";

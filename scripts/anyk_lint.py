@@ -26,6 +26,12 @@ Rules (see docs/STATIC_ANALYSIS.md for the rationale of each):
                        conversions (%g, %f, %e, %a) in *printf format
                        strings. Use std::from_chars / std::to_chars (see
                        src/storage/csv.cc, AppendResultRow).
+  throwing-parse       No std::stoi/stol/stoll/stoul/stoull: on bad or
+                       out-of-range input they throw std::invalid_argument /
+                       std::out_of_range, which escape the CHECK path with
+                       only the function name as the message. Use ParseSize
+                       (src/util/parse.h) or std::from_chars and CHECK-fail
+                       with a located message.
   iostream-header      No `#include <iostream>` in library headers — it
                        injects a static iostream initializer into every TU.
   raw-mutex            `std::mutex` / `std::condition_variable` / std lock
@@ -86,6 +92,7 @@ _PRINTF_CALL = re.compile(r"\b\w*printf\s*\(")
 _FLOAT_CONVERSION = re.compile(
     r"%[-+ #0']*(?:\d+|\*)?(?:\.(?:\d+|\*)?)?(?:hh|h|ll|l|L|j|z|t)?[aAeEfFgG]"
 )
+_THROWING_PARSE = re.compile(r"\b(?:std::)?sto(?:i|l|ll|ul|ull)\s*\(")
 _IOSTREAM = re.compile(r'#\s*include\s*<iostream>')
 _RAW_MUTEX = re.compile(
     r"\bstd::(?:mutex|timed_mutex|recursive_mutex|shared_mutex|"
@@ -213,6 +220,27 @@ class LocaleParse(Rule):
         return hits
 
 
+class ThrowingParse(Rule):
+    def __init__(self) -> None:
+        super().__init__(
+            "throwing-parse",
+            "no std::stoi/stol/stoll/stoul/stoull in src/ and cli/: their "
+            "exceptions escape the CHECK path named only 'stoull'; use "
+            "ParseSize or std::from_chars",
+        )
+
+    def applies_to(self, relpath: str) -> bool:
+        return relpath.startswith(("src/", "cli/"))
+
+    def check_line(self, relpath: str, code: str) -> str | None:
+        if _THROWING_PARSE.search(code):
+            return ("std::sto* throws invalid_argument/out_of_range with the "
+                    "function name as its only message; parse with "
+                    "ParseSize (src/util/parse.h) or std::from_chars and "
+                    "CHECK-fail with a located message")
+        return None
+
+
 class IostreamHeader(Rule):
     def __init__(self) -> None:
         super().__init__(
@@ -254,6 +282,7 @@ RULES: list[Rule] = [
     HeapHotPath(),
     UnorderedMap(),
     LocaleParse(),
+    ThrowingParse(),
     IostreamHeader(),
     RawMutex(),
 ]
@@ -505,6 +534,21 @@ SELF_TEST_CASES = [
      "cli/ok.cc", 'std::printf("100%%g\\n");\n', set()),
     ("a float format outside a printf call does not fire",
      "src/util/ok.h", 'const char* kDoc = "%.6g";\n', set()),
+    ("stoull is a throwing parse",
+     "src/query/bad.cc", "syn.limit = std::stoull(k.text);\n",
+     {"throwing-parse"}),
+    ("stoi in cli",
+     "cli/bad.cc", "const int n = std::stoi(argv[1]);\n", {"throwing-parse"}),
+    ("ParseSize and from_chars are fine",
+     "src/query/ok.cc",
+     "const bool ok = ParseSize(k.text, &limit);\n"
+     "auto r = std::from_chars(p, end, value);\n",
+     set()),
+    ("stoull in a comment/string does not fire",
+     "src/query/ok.cc",
+     "// std::stoull(k.text) throws out_of_range past 2^64 - 1\n"
+     "const char* msg = \"std::stoull(x)\";\n",
+     set()),
     ("iostream in a library header",
      "src/util/bad.h", "#include <iostream>\n", {"iostream-header"}),
     ("iostream in a .cc is fine",

@@ -73,14 +73,15 @@ std::string Explain(const PreparedQuery<D>& pq) {
 
 /// All shards share one pipeline shape (only the data differs): the shape
 /// and sizes shown are shard 0's, labeled as such when S > 1, while the
-/// planner lines are the cross-shard decision every session runs.
+/// planner lines are `d`, a cross-shard decision.
 template <SelectiveDioid D>
-std::string Explain(const ShardedPreparedQuery<D>& pq) {
-  if (pq.NumShards() == 1) return Explain(pq.shard(0), pq.decision());
+std::string Explain(const ShardedPreparedQuery<D>& pq,
+                    const plan::PlanDecision& d) {
+  if (pq.NumShards() == 1) return Explain(pq.shard(0), d);
   return "shards: " + std::to_string(pq.NumShards()) +
          " (plan shape and sizes below are shard 0's; the planner decision "
          "is merged across shards)\n" +
-         Explain(pq.shard(0), pq.decision());
+         Explain(pq.shard(0), d);
 }
 
 template <SelectiveDioid D>

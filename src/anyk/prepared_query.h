@@ -136,7 +136,10 @@ class EnumerationSession {
 struct PrepareOptions {
   // Session defaults (NewSession overloads can override per session). The
   // generic-join fallback materializes witnesses according to this value
-  // at prepare time, so it applies to every session of that plan.
+  // at prepare time, so it applies to every session of that plan. Its
+  // k_budget is also the budget decision() is made for; nothing else in
+  // preparation reads it, which is why QueryHandle (anyk/query_handle.h)
+  // prepares with 0 and re-decides per stream budget from decision().stats.
   EnumOptions enum_opts;
   // Filter consecutive duplicates at the union level (only meaningful for
   // overlapping decompositions; the simple-cycle one is disjoint).
@@ -214,7 +217,9 @@ class PreparedQuery {
   ///
   /// Algorithm::kAuto resolves to the prepare-time decision() — strategy
   /// AND candidate-heap arity — here, without recomputing anything: the
-  /// plan is chosen once per PreparedQuery, never per session.
+  /// plan is chosen once per PreparedQuery, never per session, for the
+  /// prepare-time k_budget (a session opened with another budget still
+  /// runs that decision; QueryHandle resolves kAuto per budget itself).
   EnumerationSession<D> NewSession(Algorithm algo,
                                    const EnumOptions& enum_opts) const {
     EnumOptions opts = enum_opts;

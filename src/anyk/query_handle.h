@@ -5,10 +5,19 @@
 // into a ShardedPreparedQuery<D> (a passthrough around one PreparedQuery<D>
 // when S == 1; S per-shard pipelines merged per stream otherwise, see
 // anyk/sharded_query.h). The handle is immutable and shared read-only: the
-// server caches one per normalized statement, the CLI builds one per run.
-// Open() starts a PageStream — an EnumerationSession plus its page buffer
-// and projection / rank bookkeeping — confined to one thread at a time;
-// any number of streams of one handle may run concurrently.
+// server caches one per LIMIT-free normalized statement, the CLI builds one
+// per run.
+//
+// Preparation does not depend on k (cycle decomposition, stage graphs and
+// the bottom-up DP are the same for every budget), so the handle always
+// prepares unbounded and the k budget belongs to each stream: Open(algo, k)
+// starts a PageStream — an EnumerationSession under EnumOptions::k_budget
+// = k plus its page buffer and projection / rank bookkeeping — confined to
+// one thread at a time; any number of streams of one handle, at any mix of
+// budgets, may run concurrently. For Algorithm::kAuto the strategy and
+// heap arity are re-decided per budget from the statistics cached at
+// prepare (plan::DecideStrategy's O(1) stats overload), so every stream
+// runs what a prepare with k_budget = k would have chosen.
 //
 // anyk-lint: allow-file(heap-hot-path): the handle, its prepared query and
 // each stream are allocated once, at prepare and stream-open time. FetchPage
@@ -96,19 +105,19 @@ class PageStream {
 class QueryHandle {
  public:
   virtual ~QueryHandle() = default;
-  /// Open an independent stream. Algorithm::kAuto resolves to decision().
-  /// The stream reads the handle's prepared state: it must not outlive it.
-  virtual std::unique_ptr<PageStream> Open(Algorithm algo) const = 0;
+  /// Open an independent stream of at most `k_budget` answers (0 = all),
+  /// run under EnumOptions::k_budget = k_budget. Algorithm::kAuto resolves
+  /// to decision(k_budget). The stream reads the handle's prepared state:
+  /// it must not outlive it.
+  virtual std::unique_ptr<PageStream> Open(Algorithm algo,
+                                           size_t k_budget) const = 0;
   virtual const char* plan_name() const = 0;
-  /// The top-k budget every stream runs under (the prepare options'
-  /// EnumOptions::k_budget); 0 = unbounded.
-  virtual size_t limit() const = 0;
-  /// The prepare-time planner decision, merged across shards: what
-  /// Algorithm::kAuto runs for every stream of this handle.
-  virtual const plan::PlanDecision& decision() const = 0;
+  /// The planner decision for a stream budget (0 = unbounded), merged
+  /// across shards: what Algorithm::kAuto runs under `k_budget`.
+  virtual plan::PlanDecision decision(size_t k_budget) const = 0;
   /// The EXPLAIN block (anyk/explain.h): plan shape and sizes — shard 0's,
-  /// labeled, when sharded — then the cross-shard planner decision.
-  virtual std::string Explain() const = 0;
+  /// labeled, when sharded — then the cross-shard decision(k_budget).
+  virtual std::string Explain(size_t k_budget) const = 0;
 };
 
 namespace internal {
@@ -164,16 +173,33 @@ class TypedHandle final : public QueryHandle {
               const ShardedQueryOptions& opts)
       : stmt_(std::move(stmt)), pq_(db, stmt_.query, opts) {}
 
-  std::unique_ptr<PageStream> Open(Algorithm algo) const override {
-    return std::make_unique<TypedStream<D>>(pq_.NewSession(algo),
+  std::unique_ptr<PageStream> Open(Algorithm algo,
+                                   size_t k_budget) const override {
+    EnumOptions opts = pq_.default_enum_options();
+    opts.k_budget = k_budget;
+    if (algo == Algorithm::kAuto) {
+      const plan::PlanDecision d = decision(k_budget);
+      algo = d.algorithm;
+      opts.heap_arity = d.heap_arity;
+    }
+    return std::make_unique<TypedStream<D>>(pq_.NewSession(algo, opts),
                                             &stmt_.select_vars);
   }
   const char* plan_name() const override { return PlanName(pq_.plan()); }
-  size_t limit() const override { return pq_.default_enum_options().k_budget; }
-  const plan::PlanDecision& decision() const override {
-    return pq_.decision();
+  plan::PlanDecision decision(size_t k_budget) const override {
+    // pq_ was prepared unbounded: its decision holds the merged statistics
+    // and the topology flag, and is already final for the generic-join
+    // fallback, which runs Batch at every budget.
+    const plan::PlanDecision& unbounded = pq_.decision();
+    if (pq_.plan() == QueryPlan::kGenericJoinBatch) return unbounded;
+    plan::PlanDecision d =
+        plan::DecideStrategy(unbounded.stats, k_budget, D::kHasInverse);
+    d.auto_topology = unbounded.auto_topology;
+    return d;
   }
-  std::string Explain() const override { return anyk::Explain(pq_); }
+  std::string Explain(size_t k_budget) const override {
+    return anyk::Explain(pq_, decision(k_budget));
+  }
 
  private:
   const SqlStatement stmt_;
@@ -185,13 +211,16 @@ class TypedHandle final : public QueryHandle {
 /// Prepare `stmt` under the named dioid with `opts` (which callers fill as
 /// they would for a ShardedPreparedQuery; `opts.prepare.pool` parallelizes
 /// preprocessing only and is not retained). Answers never carry witnesses:
-/// the handle clears EnumOptions::with_witness. CHECK-fails on an unknown
+/// the handle clears EnumOptions::with_witness. It also prepares unbounded
+/// (EnumOptions::k_budget = 0) — each stream brings its own budget to
+/// Open(), so `stmt.limit` is not read here. CHECK-fails on an unknown
 /// dioid name.
 inline std::unique_ptr<QueryHandle> MakeQueryHandle(const Database& db,
                                                     SqlStatement stmt,
                                                     const std::string& dioid,
                                                     ShardedQueryOptions opts) {
   opts.prepare.enum_opts.with_witness = false;
+  opts.prepare.enum_opts.k_budget = 0;
   if (dioid == "min-sum") {
     return std::make_unique<internal::TypedHandle<TropicalDioid>>(
         db, std::move(stmt), opts);

@@ -43,7 +43,6 @@ struct PlanInput {
   GraphStats stats;
   size_t k_budget = 0;       // 0 = unbounded (EnumOptions sentinel)
   bool has_inverse = true;   // dioid's (W, o*) is a group (D::kHasInverse)
-  size_t num_parts = 1;      // union plans: graphs drained concurrently
 };
 
 /// Estimated cost per strategy, in abstract operation units.
@@ -99,10 +98,6 @@ inline StrategyCosts EstimateCosts(const PlanInput& in) {
   const double shape_tax = st.serial() ? 1.0 : 2.5;
   c.recursive = shape_tax * (1.5 * k * l + static_cast<double>(st.states) *
                                                log_fan * 0.5);
-  // Union plans run one enumerator per part; their per-answer structures
-  // don't share work, which mostly cancels out of the comparison — but the
-  // batch variant sorts each part once, which it would do anyway.
-  (void)in.num_parts;
   return c;
 }
 

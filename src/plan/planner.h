@@ -9,9 +9,13 @@
 // cardinality estimate with a stable tie-break. (c) sees the full graph
 // statistics including exact output counts and goes through the cost model.
 //
-// The decision is made ONCE, at prepare time, against the prepare-time
-// k_budget; every session opened with Algorithm::kAuto reuses it
-// (concurrency_test pins that sessions never re-plan).
+// (c) depends on the k budget only through the cost model's scalar inputs:
+// PreparedQuery decides it ONCE, at prepare time, against the prepare-time
+// k_budget, and every session opened with Algorithm::kAuto reuses it
+// (concurrency_test pins that sessions never re-plan). QueryHandle
+// (anyk/query_handle.h) prepares unbounded and re-decides per stream budget
+// from the cached statistics through the O(1) GraphStats overload — the
+// same pick a prepare at that budget makes, with no pass over the graphs.
 
 #ifndef ANYK_PLAN_PLANNER_H_
 #define ANYK_PLAN_PLANNER_H_
@@ -44,7 +48,9 @@ struct PlanDecision {
   GraphStats stats;
   double est_cost = 0;
   double est_batch = 0;
-  std::string reason;
+  // A string literal (the cost model's or BatchOnlyDecision's): deciding
+  // allocates nothing, so a stream can re-decide for its budget at open.
+  const char* reason = "";
 
   /// One-line rendering for EXPLAIN / /statz / logs.
   std::string Summary() const {
@@ -123,8 +129,30 @@ inline JoinTreeTopology PlanTopology(const Database& db,
   return out;
 }
 
-/// Decide strategy + heap arity for built tree/union graphs. `k_budget` is
-/// the prepare-time budget (EnumOptions sentinel: 0 = unbounded).
+/// Decide strategy + heap arity for a budget from graph statistics alone.
+/// `k_budget` is the stream's budget (EnumOptions sentinel: 0 =
+/// unbounded). O(1): the cost model reads the scalar statistics only, so a
+/// caller that cached a prepared query's stats can re-decide for every
+/// stream's budget without another pass over the graphs (QueryHandle does).
+inline PlanDecision DecideStrategy(const GraphStats& stats, size_t k_budget,
+                                   bool has_inverse) {
+  PlanInput in;
+  in.stats = stats;
+  in.k_budget = k_budget;
+  in.has_inverse = has_inverse;
+  const StrategyChoice choice = ChooseStrategy(in);
+  PlanDecision d;
+  d.algorithm = choice.algorithm;
+  d.heap_arity = choice.heap_arity;
+  d.stats = stats;
+  d.est_cost = choice.est_cost;
+  d.est_batch = choice.est_batch;
+  d.reason = choice.reason;
+  return d;
+}
+
+/// Decide strategy + heap arity for built tree/union graphs: their merged
+/// statistics, then the stats overload above.
 ///
 /// The non-owning overload exists for cross-shard planning: the sharded
 /// layer (anyk/sharded_query.h) concatenates the graph lists of S per-shard
@@ -133,27 +161,16 @@ inline JoinTreeTopology PlanTopology(const Database& db,
 template <SelectiveDioid D>
 PlanDecision DecideStrategy(const std::vector<const StageGraph<D>*>& graphs,
                             size_t k_budget) {
-  PlanInput in;
-  in.k_budget = k_budget;
-  in.has_inverse = D::kHasInverse;
-  in.num_parts = graphs.size();
+  GraphStats stats;
   for (size_t i = 0; i < graphs.size(); ++i) {
     const GraphStats part = CollectGraphStats(*graphs[i]);
     if (i == 0) {
-      in.stats = part;
+      stats = part;
     } else {
-      MergeGraphStats(&in.stats, part);
+      MergeGraphStats(&stats, part);
     }
   }
-  const StrategyChoice choice = ChooseStrategy(in);
-  PlanDecision d;
-  d.algorithm = choice.algorithm;
-  d.heap_arity = choice.heap_arity;
-  d.stats = in.stats;
-  d.est_cost = choice.est_cost;
-  d.est_batch = choice.est_batch;
-  d.reason = choice.reason;
-  return d;
+  return DecideStrategy(stats, k_budget, D::kHasInverse);
 }
 
 template <SelectiveDioid D>

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <unordered_map>
@@ -15,6 +16,7 @@
 #include "dioid/max_plus.h"
 #include "dioid/tropical.h"
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace anyk {
 
@@ -201,13 +203,9 @@ ParsedSyntax ParseSyntax(const std::string& sql) {
   }
   if (cur.TryKeyword("LIMIT")) {
     const Token k = cur.Take();
-    ANYK_CHECK(!k.text.empty() &&
-               std::all_of(k.text.begin(), k.text.end(), [](unsigned char c) {
-                 return std::isdigit(c);
-               }))
-        << "SQL:" << k.offset << ": LIMIT expects a positive integer, got '"
-        << k.text << "'";
-    syn.limit = static_cast<size_t>(std::stoull(k.text));
+    ANYK_CHECK(ParseSize(k.text, &syn.limit))
+        << "SQL:" << k.offset << ": LIMIT expects a positive integer up to "
+        << std::numeric_limits<size_t>::max() << ", got '" << k.text << "'";
     // LIMIT 0 would silently mean "unlimited" downstream (the k_budget
     // sentinel); reject it so "no answers" can never be misread as "all".
     ANYK_CHECK(syn.limit > 0)
@@ -311,7 +309,15 @@ SqlStatement ParseSql(const std::string& sql, const Database* db) {
   return stmt;
 }
 
+std::string NormalizedSql::WithLimit() const {
+  return limit > 0 ? text + " LIMIT " + std::to_string(limit) : text;
+}
+
 std::string NormalizeSql(const std::string& sql) {
+  return NormalizeSqlParts(sql).WithLimit();
+}
+
+NormalizedSql NormalizeSqlParts(const std::string& sql) {
   ParsedSyntax syn = ParseSyntax(sql);
   std::string out = "SELECT ";
   if (syn.select_all) {
@@ -353,8 +359,7 @@ std::string NormalizeSql(const std::string& sql) {
   // Always explicit, so "ORDER BY WEIGHT ASC", "ORDER BY WEIGHT" and no
   // ORDER BY at all (ascending is the default) share one spelling.
   out += syn.ascending ? " ORDER BY WEIGHT ASC" : " ORDER BY WEIGHT DESC";
-  if (syn.limit > 0) out += " LIMIT " + std::to_string(syn.limit);
-  return out;
+  return {std::move(out), syn.limit};
 }
 
 namespace {

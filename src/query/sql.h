@@ -56,6 +56,21 @@ SqlStatement ParseSql(const std::string& sql, const Database* db = nullptr);
 /// this); CHECK-fails like ParseSql on syntax errors.
 std::string NormalizeSql(const std::string& sql);
 
+/// NormalizeSql's result split at its LIMIT clause. Preparation does not
+/// depend on the LIMIT, so anykd keys its prepared-query cache on `text`
+/// and opens each request's stream with `limit`; `text` parses to a
+/// statement without LIMIT.
+struct NormalizedSql {
+  std::string text;  // the canonical statement, LIMIT clause dropped
+  size_t limit = 0;  // its LIMIT; 0 = none, as in SqlStatement::limit
+  /// `text` with the LIMIT clause put back: NormalizeSql's result.
+  std::string WithLimit() const;
+};
+
+/// NormalizeSql, returning the canonical text and the LIMIT separately;
+/// CHECK-fails like ParseSql on syntax errors.
+NormalizedSql NormalizeSqlParts(const std::string& sql);
+
 struct SqlResult {
   double weight;
   std::vector<Value> values;  // SELECT-list order (all variables for *)

@@ -22,6 +22,7 @@
 
 #include "anyk/factory.h"
 #include "anyk/query_handle.h"
+#include "plan/planner.h"
 #include "query/sql.h"
 #include "server/cursor_manager.h"
 #include "server/http.h"
@@ -38,10 +39,11 @@ namespace anyk {
 namespace server {
 namespace {
 
-// A prepared query as cached + shared by all sessions. Immutable once the
-// single-flight factory returns it. The plan decision for `algorithm=auto`
-// is made once, inside the handle's preparation, and rides along here so
-// /statz can list it without touching the templated stack.
+// A prepared query as cached + shared by all sessions, whatever their
+// LIMIT. Immutable once the single-flight factory returns it; the handle
+// works out `algorithm=auto` per cursor from the statistics it cached at
+// prepare, so /statz can list a decision without touching the templated
+// stack.
 struct CacheEntry {
   std::unique_ptr<QueryHandle> handle;
   double prepare_seconds = 0;
@@ -293,8 +295,8 @@ HttpResponse AnykServer::Impl::HandleQuery(const HttpRequest& req) {
   const std::optional<size_t> page_k = PageK(req, &err);
   if (!page_k.has_value()) return err;
 
-  // Default: the cost-based planner. The decision was made at prepare time
-  // and cached inside the entry, so `auto` adds nothing per request.
+  // Default: the cost-based planner, decided for this request's LIMIT from
+  // the statistics cached in the entry (O(1), no pass over the graphs).
   const std::string algo_name = req.Param("algorithm", "auto");
   const std::optional<Algorithm> algo = ParseAlgorithm(algo_name);
   if (!algo.has_value()) {
@@ -316,20 +318,23 @@ HttpResponse AnykServer::Impl::HandleQuery(const HttpRequest& req) {
   SessionTicket ticket(&gauge);
 
   // Normalization both validates the SQL (throws -> 400 above) and produces
-  // the cache key, so equivalent spellings share one prepared query.
-  const std::string normalized = NormalizeSql(sql);
+  // the cache key, so equivalent spellings share one prepared query. The
+  // key leaves the LIMIT out: preparation does not depend on it, so every
+  // LIMIT of one join shares one entry and the LIMIT becomes this cursor's
+  // k budget.
+  const NormalizedSql normalized = NormalizeSqlParts(sql);
   std::string dioid = req.Param("dioid", "");
   if (dioid.empty()) {
     // Same default rule as the CLI: lightest-first queries rank by min-sum,
     // heaviest-first by max-sum. NormalizeSql always renders the direction.
-    dioid = normalized.find(" ORDER BY WEIGHT DESC") != std::string::npos
+    dioid = normalized.text.find(" ORDER BY WEIGHT DESC") != std::string::npos
                 ? "max-sum"
                 : "min-sum";
   }
   const std::string key =
       QueryCacheKey(dioid, opts.planner_version,
                     epoch.load(std::memory_order_relaxed), opts.shards,
-                    normalized);
+                    normalized.text);
 
   QueryCache::Outcome outcome = QueryCache::Outcome::kMiss;
   std::shared_ptr<CacheEntry> entry = cache.GetOrCreate(
@@ -337,12 +342,8 @@ HttpResponse AnykServer::Impl::HandleQuery(const HttpRequest& req) {
       [&]() -> std::shared_ptr<CacheEntry> {
         auto e = std::make_shared<CacheEntry>();
         Timer timer;
-        SqlStatement stmt = ParseSql(normalized, &db);
+        SqlStatement stmt = ParseSql(normalized.text, &db);
         ShardedQueryOptions qopts;
-        // The planner budget is the SQL LIMIT (0 = unbounded): the strategy
-        // for `algorithm=auto` is decided once here, at prepare time —
-        // across all shards — and shared by every cursor of this entry.
-        qopts.prepare.enum_opts.k_budget = stmt.limit;
         qopts.prepare.pool = &prepare_pool;
         qopts.prepare.auto_plan = true;
         qopts.shards = opts.shards;
@@ -360,7 +361,8 @@ HttpResponse AnykServer::Impl::HandleQuery(const HttpRequest& req) {
     return TextError(500, "query preparation failed; retry");
   }
 
-  std::unique_ptr<PageStream> stream = entry->handle->Open(*algo);
+  std::unique_ptr<PageStream> stream =
+      entry->handle->Open(*algo, normalized.limit);
   PageWriter page(json, CacheOutcomeName(outcome), entry->handle->plan_name());
   stream->FetchPage(*page_k, page.Sink());
   std::string cursor_id;
@@ -454,7 +456,8 @@ HttpResponse AnykServer::Impl::HandleStatz() {
   w.KV("expired", static_cast<uint64_t>(curs.expired));
   w.EndObject();
   // The planner decisions currently cached: one entry per ready prepared
-  // query, LRU -> MRU, each with the algorithm `auto` resolves to.
+  // query, LRU -> MRU, each with the algorithm `auto` resolves to for an
+  // unbounded cursor (a LIMIT re-decides per cursor, see HandleQuery).
   w.Key("planner").BeginObject();
   w.KV("version", static_cast<int64_t>(opts.planner_version));
   w.KV("shards", static_cast<uint64_t>(opts.shards));
@@ -462,9 +465,10 @@ HttpResponse AnykServer::Impl::HandleStatz() {
   cache.ForEachReady(
       [&](const std::string&, const std::shared_ptr<CacheEntry>& e) {
         w.BeginObject();
+        const plan::PlanDecision unbounded = e->handle->decision(0);
         w.KV("plan", e->handle->plan_name());
-        w.KV("algorithm", AlgorithmName(e->handle->decision().algorithm));
-        w.KV("summary", e->handle->decision().Summary());
+        w.KV("algorithm", AlgorithmName(unbounded.algorithm));
+        w.KV("summary", unbounded.Summary());
         w.KV("prepare_seconds", e->prepare_seconds);
         w.EndObject();
       });

@@ -12,11 +12,13 @@
 //   GET /v1/close?cursor=ID           drop a cursor early
 //   POST /v1/flush                    bump the database epoch + clear cache
 //
-// Prepared queries are cached by (dioid, planner version, epoch,
-// NormalizeSql(sql)) and shared by all sessions; every page request drains
-// the cursor's own EnumerationSession, so concurrent clients never share
-// mutable state (tests/server_test.cc byte-matches concurrent paged drains
-// against serial RankedQuery drains, also under TSan). The planner version
+// Prepared queries are cached by (dioid, planner version, epoch, shards,
+// the LIMIT-free NormalizeSqlParts(sql).text) and shared by all sessions,
+// whatever their LIMIT: each cursor opens under its own LIMIT as the k
+// budget. Every page request drains the cursor's own EnumerationSession,
+// so concurrent clients never share mutable state (tests/server_test.cc
+// byte-matches concurrent paged drains against serial drains prepared at
+// the LIMIT, also under TSan). The planner version
 // component means a cost-model change can never revive a plan decision
 // cached under the old model (see docs/PLANNER.md).
 

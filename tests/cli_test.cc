@@ -405,6 +405,18 @@ TEST(CliTest, MalformedSqlExitsOneWithMessage) {
   EXPECT_NE(run.output.find("SQL"), std::string::npos);
 }
 
+TEST(CliTest, LimitAboveSizeMaxExitsOneWithSqlOffset) {
+  CliRun run = RunCli(TwoRelationArgs() +
+                      " --query \"SELECT * FROM R, S WHERE R.A2 = S.A1 "
+                      "LIMIT 99999999999999999999\"");
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("anyk: error: SQL:43: LIMIT expects a positive "
+                            "integer up to 18446744073709551615, got "
+                            "'99999999999999999999'"),
+            std::string::npos)
+      << run.output;
+}
+
 TEST(CliTest, MissingCsvExitsOneWithPath) {
   CliRun run = RunCli(
       "--relation R=/nonexistent/r.csv --query \"SELECT * FROM R\"");

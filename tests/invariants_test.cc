@@ -16,6 +16,7 @@
 #include "anyk/batch.h"
 #include "anyk/factory.h"
 #include "anyk/query_handle.h"
+#include "anyk/sharded_query.h"
 #include "anyk/strategies.h"
 #include "util/dary_heap.h"
 #include "dioid/min_max.h"
@@ -510,7 +511,7 @@ TEST(InvariantTest, ZeroHeapAllocationsDuringBatchedEnumeration) {
 // therefore allocate no more than a constant page size does.
 uint64_t PagingAllocs(const QueryHandle& handle,
                       const std::vector<size_t>& pages) {
-  const std::unique_ptr<PageStream> stream = handle.Open(Algorithm::kLazy);
+  const std::unique_ptr<PageStream> stream = handle.Open(Algorithm::kLazy, 0);
   const RowFn ignore = [](size_t, double, const std::vector<Value>&) {};
   const AllocCounts before = CurrentAllocCounts();
   for (const size_t n : pages) {
@@ -534,6 +535,47 @@ TEST(InvariantTest, HandlePagingWithMixedSizesAllocatesNoMore) {
   const uint64_t mixed = PagingAllocs(*handle, alternating);
   const uint64_t steady = PagingAllocs(*handle, constant);
   EXPECT_LE(mixed, steady) << "alternating page sizes reallocated rows";
+}
+
+// The k budget is a property of the stream, not of the prepared query:
+// streams opened at different budgets (each resolving `auto` for its own
+// budget) on one shared handle page concurrently-interleaved with zero
+// global allocations once each stream's page buffer is warm.
+TEST(InvariantTest, HandleStreamsAtDifferentBudgetsPageWithoutAllocating) {
+  const Database db = MakePathDatabase(2000, 4, 707, {.fanout = 6.0});
+  const SqlStatement stmt = ParseSql(
+      "SELECT * FROM R1, R2, R3 WHERE R1.A2 = R2.A1 AND R2.A2 = R3.A1", &db);
+  ShardedQueryOptions opts;
+  opts.prepare.enum_opts.arena_reserve_bytes = size_t{16} << 20;
+  opts.prepare.auto_plan = true;
+  const std::unique_ptr<QueryHandle> handle =
+      MakeQueryHandle(db, stmt, "min-sum", opts);
+  constexpr size_t kPage = 64;
+  std::vector<std::unique_ptr<PageStream>> streams;
+  for (const size_t k : {size_t{0}, size_t{1}, size_t{64}, size_t{65},
+                         size_t{1000}, size_t{70000}}) {
+    for (const Algorithm algo : {Algorithm::kAuto, Algorithm::kLazy}) {
+      streams.push_back(handle->Open(algo, k));
+      streams.back()->FetchPage(kPage, {});  // warm the page buffer
+    }
+  }
+  const RowFn ignore = [](size_t, double, const std::vector<Value>&) {};
+  const AllocCounts before = CurrentAllocCounts();
+  size_t produced = 0;
+  for (size_t round = 0; round < 40; ++round) {
+    for (const auto& stream : streams) {
+      produced += stream->FetchPage(1 + (round * 7) % kPage, ignore);
+    }
+  }
+  const AllocCounts delta = AllocDelta(before, CurrentAllocCounts());
+  EXPECT_EQ(delta.news, 0u) << "paging " << produced << " answers over "
+                            << streams.size() << " streams hit the global "
+                            << "heap " << delta.news << " times";
+  EXPECT_GT(produced, 4000u) << "instance too small to be meaningful";
+  // The budgets held: each bounded stream stopped at its k.
+  EXPECT_EQ(streams[2]->produced(), 1u);
+  EXPECT_EQ(streams[4]->produced(), 64u);
+  EXPECT_EQ(streams[6]->produced(), 65u);
 }
 
 TEST(InvariantTest, WeightsMatchRecomputationFromWitness) {

@@ -2,7 +2,10 @@
 // server both drain: for every dioid name, for each plan family (acyclic
 // tree, cycle union, generic-join fallback), unsharded and sharded, with
 // and without a SELECT list, the paged, projected, ranked stream must equal
-// a drain of the typed ShardedPreparedQuery<D> it wraps. The text-row
+// a drain of the typed ShardedPreparedQuery<D> it wraps. The handle
+// prepares unbounded and takes the k budget per stream: one handle opened
+// at any budget must decide and answer exactly like a typed query prepared
+// at that budget. The text-row
 // encoder both binaries share (AppendResultRow) and JsonWriter's doubles
 // are swept byte for byte against the printf formats they replaced.
 
@@ -21,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "anyk/explain.h"
 #include "anyk/factory.h"
 #include "anyk/query_handle.h"
 #include "anyk/sharded_query.h"
@@ -28,6 +32,7 @@
 #include "dioid/max_times.h"
 #include "dioid/min_max.h"
 #include "dioid/tropical.h"
+#include "plan/planner.h"
 #include "query/sql.h"
 #include "storage/database.h"
 #include "util/json.h"
@@ -94,14 +99,10 @@ ShardedQueryOptions ServerStyleOptions(const SqlStatement& stmt,
   return opts;
 }
 
-/// The typed reference: what the handle wraps, drained row by row and
-/// projected / ranked by hand.
+/// Drain a session of a typed query row by row, projected / ranked by hand.
 template <typename D>
-std::vector<Row> TypedDrain(const SqlStatement& stmt, size_t shards,
-                            Algorithm algo) {
-  ShardedQueryOptions opts = ServerStyleOptions(stmt, shards);
-  opts.prepare.enum_opts.with_witness = false;
-  const ShardedPreparedQuery<D> pq(TestDatabase(), stmt.query, opts);
+std::vector<Row> DrainTyped(const ShardedPreparedQuery<D>& pq,
+                            const SqlStatement& stmt, Algorithm algo) {
   EnumerationSession<D> sess = pq.NewSession(algo);
   std::vector<Row> out;
   ResultRow<D> row;
@@ -118,9 +119,21 @@ std::vector<Row> TypedDrain(const SqlStatement& stmt, size_t shards,
   return out;
 }
 
+/// The typed reference: what the handle wraps, prepared at the statement's
+/// LIMIT.
+template <typename D>
+std::vector<Row> TypedDrain(const SqlStatement& stmt, size_t shards,
+                            Algorithm algo) {
+  ShardedQueryOptions opts = ServerStyleOptions(stmt, shards);
+  opts.prepare.enum_opts.with_witness = false;
+  const ShardedPreparedQuery<D> pq(TestDatabase(), stmt.query, opts);
+  return DrainTyped(pq, stmt, algo);
+}
+
 /// Drain a handle stream in pages of varying size (1, 2, ..., 7, 1, ...).
-std::vector<Row> PagedDrain(const QueryHandle& handle, Algorithm algo) {
-  std::unique_ptr<PageStream> stream = handle.Open(algo);
+std::vector<Row> PagedDrain(const QueryHandle& handle, Algorithm algo,
+                            size_t k_budget) {
+  std::unique_ptr<PageStream> stream = handle.Open(algo, k_budget);
   std::vector<Row> out;
   const RowFn fn = [&](size_t rank, double weight,
                        const std::vector<Value>& values) {
@@ -163,13 +176,12 @@ void ExpectHandleMatchesTyped(const char* dioid) {
       const std::unique_ptr<QueryHandle> handle = MakeQueryHandle(
           TestDatabase(), stmt, dioid, ServerStyleOptions(stmt, shards));
       EXPECT_STREQ(handle->plan_name(), c.plan);
-      EXPECT_EQ(handle->limit(), stmt.limit);
       for (const Algorithm algo :
            {Algorithm::kAuto, Algorithm::kLazy, Algorithm::kRecursive}) {
         SCOPED_TRACE(std::string(dioid) + "/" + c.name + "/S=" +
                      std::to_string(shards) + "/" + AlgorithmName(algo));
         const std::vector<Row> want = TypedDrain<D>(stmt, shards, algo);
-        const std::vector<Row> got = PagedDrain(*handle, algo);
+        const std::vector<Row> got = PagedDrain(*handle, algo, stmt.limit);
         ASSERT_FALSE(want.empty());
         for (size_t i = 0; i < got.size(); ++i) {
           ASSERT_EQ(got[i].rank, i + 1);
@@ -197,6 +209,68 @@ TEST(QueryHandleTest, MaxTimesMatchesTypedDrain) {
   ExpectHandleMatchesTyped<MaxTimesDioid>("max-times");
 }
 
+// One unbounded handle per (case, shards, dioid), opened at budgets that
+// straddle the planner's heap-arity thresholds (64/65) and the output size:
+// decision(k) must be the decision of a ShardedPreparedQuery prepared with
+// k_budget = k, and Open(algo, k) must page that query's answers — exactly
+// at S = 1, by canonical tie groups at S = 3.
+template <typename D>
+void ExpectBudgetsMatchPerBudgetPrepare(const char* dioid) {
+  for (const Case& c : kCases) {
+    const SqlStatement stmt = ParseSql(c.sql, &TestDatabase());
+    for (const size_t shards : {size_t{1}, size_t{3}}) {
+      const std::unique_ptr<QueryHandle> handle = MakeQueryHandle(
+          TestDatabase(), stmt, dioid, ServerStyleOptions(stmt, shards));
+      const auto out =
+          static_cast<size_t>(handle->decision(0).stats.output_count);
+      ASSERT_GT(out, 1u) << c.name;
+      for (const size_t k : {size_t{0}, size_t{1}, size_t{2}, size_t{7},
+                             size_t{64}, size_t{65}, size_t{1000}, out - 1,
+                             out, out + 7}) {
+        ShardedQueryOptions opts = ServerStyleOptions(stmt, shards);
+        opts.prepare.enum_opts.with_witness = false;
+        opts.prepare.enum_opts.k_budget = k;
+        const ShardedPreparedQuery<D> pq(TestDatabase(), stmt.query, opts);
+        const plan::PlanDecision got = handle->decision(k);
+        const plan::PlanDecision& want = pq.decision();
+        SCOPED_TRACE(std::string(dioid) + "/" + c.name + "/S=" +
+                     std::to_string(shards) + "/k=" + std::to_string(k));
+        EXPECT_EQ(got.algorithm, want.algorithm);
+        EXPECT_EQ(got.heap_arity, want.heap_arity);
+        EXPECT_EQ(got.Summary(), want.Summary());
+        EXPECT_EQ(got.est_cost, want.est_cost);
+        EXPECT_EQ(got.est_batch, want.est_batch);
+        EXPECT_EQ(handle->Explain(k), Explain(pq, want));
+        for (const Algorithm algo :
+             {Algorithm::kAuto, Algorithm::kLazy, Algorithm::kRecursive}) {
+          SCOPED_TRACE(AlgorithmName(algo));
+          const std::vector<Row> typed = DrainTyped(pq, stmt, algo);
+          const std::vector<Row> paged = PagedDrain(*handle, algo, k);
+          ASSERT_EQ(paged.size(), k == 0 ? out : std::min(k, out));
+          if (shards == 1) {
+            EXPECT_EQ(paged, typed);
+          } else {
+            EXPECT_EQ(Canonical(paged, k), Canonical(typed, k));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(QueryHandleTest, MinSumBudgetsMatchPerBudgetPrepare) {
+  ExpectBudgetsMatchPerBudgetPrepare<TropicalDioid>("min-sum");
+}
+TEST(QueryHandleTest, MaxSumBudgetsMatchPerBudgetPrepare) {
+  ExpectBudgetsMatchPerBudgetPrepare<MaxPlusDioid>("max-sum");
+}
+TEST(QueryHandleTest, MinMaxBudgetsMatchPerBudgetPrepare) {
+  ExpectBudgetsMatchPerBudgetPrepare<MinMaxDioid>("min-max");
+}
+TEST(QueryHandleTest, MaxTimesBudgetsMatchPerBudgetPrepare) {
+  ExpectBudgetsMatchPerBudgetPrepare<MaxTimesDioid>("max-times");
+}
+
 TEST(QueryHandleTest, UnknownDioidThrowsCheckError) {
   const SqlStatement stmt = ParseSql(kCases[0].sql, &TestDatabase());
   const auto prev = SetCheckFailureHandler(&ThrowingCheckHandler);
@@ -210,11 +284,13 @@ TEST(QueryHandleTest, EmptyRowFnStillAdvancesTheStream) {
   const SqlStatement stmt = ParseSql(kCases[0].sql, &TestDatabase());
   const std::unique_ptr<QueryHandle> handle = MakeQueryHandle(
       TestDatabase(), stmt, "min-sum", ServerStyleOptions(stmt, 1));
-  const std::vector<Row> all = PagedDrain(*handle, Algorithm::kLazy);
+  const std::vector<Row> all =
+      PagedDrain(*handle, Algorithm::kLazy, stmt.limit);
   ASSERT_GT(all.size(), 10u);
 
   // Skip ten answers without a callback; the next page resumes at rank 11.
-  std::unique_ptr<PageStream> stream = handle->Open(Algorithm::kLazy);
+  std::unique_ptr<PageStream> stream =
+      handle->Open(Algorithm::kLazy, stmt.limit);
   EXPECT_EQ(stream->FetchPage(4, {}), 4u);
   EXPECT_EQ(stream->FetchPage(6, RowFn()), 6u);
   EXPECT_EQ(stream->produced(), 10u);
@@ -238,17 +314,18 @@ TEST(QueryHandleTest, ExplainLabelsShardZeroAndShowsTheMergedDecision) {
   const SqlStatement stmt = ParseSql(kCases[0].sql, &TestDatabase());
   const std::unique_ptr<QueryHandle> one = MakeQueryHandle(
       TestDatabase(), stmt, "min-sum", ServerStyleOptions(stmt, 1));
-  EXPECT_EQ(one->Explain().rfind("plan: acyclic join tree", 0), 0u)
-      << one->Explain();
+  EXPECT_EQ(one->Explain(stmt.limit).rfind("plan: acyclic join tree", 0), 0u)
+      << one->Explain(stmt.limit);
 
   const std::unique_ptr<QueryHandle> three = MakeQueryHandle(
       TestDatabase(), stmt, "min-sum", ServerStyleOptions(stmt, 3));
-  const std::string text = three->Explain();
+  const std::string text = three->Explain(stmt.limit);
   EXPECT_EQ(text.rfind("shards: 3 (plan shape and sizes below are shard 0's",
                        0),
             0u)
       << text;
-  EXPECT_NE(text.find("planner: " + three->decision().Summary() + "\n"),
+  EXPECT_NE(text.find("planner: " + three->decision(stmt.limit).Summary() +
+                      "\n"),
             std::string::npos)
       << text;
 }

@@ -116,25 +116,36 @@ std::string CursorOf(const std::string& body) {
   return line.empty() ? "" : line.substr(7);
 }
 
-/// Page a query to exhaustion: /v1/query + /v1/next until DONE. Returns the
-/// concatenated RESULT lines.
-std::string PagedDrain(int port, const std::string& sql,
-                       const std::string& algorithm, size_t page_k) {
+/// One paged drain: the first page's CACHE line and every RESULT line.
+struct Drained {
+  std::string cache;
+  std::string results;
+};
+
+/// Page a query to exhaustion: /v1/query + /v1/next until DONE.
+Drained PagedDrainWithCache(int port, const std::string& sql,
+                            const std::string& algorithm, size_t page_k) {
   HttpClient client(port);
   ClientResponse resp = client.Get(
       "/v1/query?sql=" + HttpClient::Encode(sql) +
       "&algorithm=" + algorithm + "&k=" + std::to_string(page_k));
   EXPECT_EQ(resp.status, 200) << resp.body;
-  std::string results = ResultLines(resp.body);
+  Drained out{LineWithPrefix(resp.body, "CACHE,"), ResultLines(resp.body)};
   std::string cursor = CursorOf(resp.body);
   while (!cursor.empty()) {
     resp = client.Get("/v1/next?cursor=" + cursor +
                       "&k=" + std::to_string(page_k));
     EXPECT_EQ(resp.status, 200) << resp.body;
-    results += ResultLines(resp.body);
+    out.results += ResultLines(resp.body);
     cursor = CursorOf(resp.body);
   }
-  return results;
+  return out;
+}
+
+/// The concatenated RESULT lines of a paged drain.
+std::string PagedDrain(int port, const std::string& sql,
+                       const std::string& algorithm, size_t page_k) {
+  return PagedDrainWithCache(port, sql, algorithm, page_k).results;
 }
 
 TEST(ServerTest, ConcurrentPagedDrainsMatchSerialByteForByte) {
@@ -208,6 +219,108 @@ TEST(ServerTest, CacheHitSkipsRePreparationAndNormalizesKeys) {
   EXPECT_EQ(second.status, 200);
   EXPECT_EQ(LineWithPrefix(second.body, "CACHE,"), "CACHE,hit");
   EXPECT_EQ(ResultLines(first.body), ResultLines(second.body));
+  srv.Stop();
+}
+
+// Preparation does not depend on the LIMIT, so every LIMIT of one join
+// shares one cache entry and each cursor runs under its own LIMIT. The
+// oracle, SerialDrainText, still prepares with k_budget = LIMIT: the pages
+// must be exactly what a per-LIMIT prepare would serve.
+TEST(ServerTest, LimitVariantsShareOnePreparedEntry) {
+  const Database db = TestDatabase();
+  AnykServer srv(db, ServerOptions{});
+  srv.Start();
+  const int port = srv.bound_port();
+
+  const std::string base = kPathSql;
+  const std::vector<std::string> variants = {
+      base, base + " LIMIT 3", base + " LIMIT 70",
+      "select * from R1, R2, R3 where R2.a2 = R3.a1 and R1.a2 = R2.a1 "
+      "order by weight limit 005;"};
+  const std::vector<size_t> limits = {0, 3, 70, 5};
+  for (size_t i = 0; i < variants.size(); ++i) {
+    const Drained got = PagedDrainWithCache(port, variants[i], "auto", 7);
+    EXPECT_EQ(got.cache, i == 0 ? "CACHE,miss" : "CACHE,hit") << variants[i];
+    const std::string want =
+        SerialDrainText<TropicalDioid>(db, variants[i], Algorithm::kAuto);
+    EXPECT_EQ(got.results, want) << variants[i];
+    if (limits[i] > 0) {
+      EXPECT_EQ(std::count(want.begin(), want.end(), '\n'),
+                static_cast<std::ptrdiff_t>(limits[i]));
+    }
+  }
+  // An explicit algorithm shares the entry too.
+  const std::string lazy = base + " LIMIT 9";
+  const Drained lazy_got = PagedDrainWithCache(port, lazy, "lazy", 4);
+  EXPECT_EQ(lazy_got.cache, "CACHE,hit");
+  EXPECT_EQ(lazy_got.results,
+            SerialDrainText<TropicalDioid>(db, lazy, Algorithm::kLazy));
+
+  // The dioid is part of the key: the DESC variant prepares its own entry.
+  const std::string desc =
+      "SELECT * FROM R1, R2, R3 WHERE R1.A2 = R2.A1 AND R2.A2 = R3.A1 "
+      "ORDER BY WEIGHT DESC LIMIT 3";
+  const Drained desc_got = PagedDrainWithCache(port, desc, "auto", 2);
+  EXPECT_EQ(desc_got.cache, "CACHE,miss");
+  EXPECT_EQ(desc_got.results,
+            SerialDrainText<MaxPlusDioid>(db, desc, Algorithm::kAuto));
+
+  // The one place a LIMIT is read: past size_t it is a SQL error (400 with
+  // the token's offset), and it prepares nothing.
+  HttpClient client(port);
+  const ClientResponse huge = client.Get(
+      "/v1/query?sql=" + HttpClient::Encode(base + " LIMIT 99999999999999999999"));
+  EXPECT_EQ(huge.status, 400) << huge.body;
+  EXPECT_NE(huge.body.find("LIMIT expects a positive integer up to "
+                           "18446744073709551615"),
+            std::string::npos)
+      << huge.body;
+
+  const std::string stats = client.Get("/statz").body;
+  EXPECT_NE(stats.find("\"size\": 2"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"misses\": 2"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"hits\": 4"), std::string::npos) << stats;
+  srv.Stop();
+}
+
+TEST(ServerTest, ConcurrentLimitsOfAColdStatementPrepareOnce) {
+  const Database db = TestDatabase();
+  AnykServer srv(db, ServerOptions{});
+  srv.Start();
+  const int port = srv.bound_port();
+
+  const std::string base = kCycleSql;
+  const std::vector<std::string> variants = {
+      base + " LIMIT 2", base, base + " LIMIT 50", base + " LIMIT 333"};
+  std::vector<std::string> expected(variants.size());
+  for (size_t i = 0; i < variants.size(); ++i) {
+    expected[i] =
+        SerialDrainText<TropicalDioid>(db, variants[i], Algorithm::kAuto);
+  }
+  std::vector<Drained> actual(variants.size());
+  std::vector<std::thread> clients;
+  clients.reserve(variants.size());
+  for (size_t i = 0; i < variants.size(); ++i) {
+    clients.emplace_back([&, i] {
+      actual[i] = PagedDrainWithCache(port, variants[i], "auto", 5 + i);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  size_t misses = 0;
+  for (size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_EQ(actual[i].results, expected[i]) << variants[i];
+    EXPECT_TRUE(actual[i].cache == "CACHE,miss" ||
+                actual[i].cache == "CACHE,hit" ||
+                actual[i].cache == "CACHE,coalesced")
+        << actual[i].cache;
+    misses += actual[i].cache == "CACHE,miss";
+  }
+  EXPECT_EQ(misses, 1u);
+  HttpClient client(port);
+  const std::string stats = client.Get("/statz").body;
+  EXPECT_NE(stats.find("\"misses\": 1"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"size\": 1"), std::string::npos) << stats;
   srv.Stop();
 }
 

@@ -1,13 +1,24 @@
 // SQL front-end tests: parsing to conjunctive queries, ORDER BY/LIMIT,
 // self-join aliases, DESC ranking, projection with all-weight semantics
-// (Section 8.1, option 1), and oracle agreement.
+// (Section 8.1, option 1), oracle agreement, and a seeded mutation fuzz of
+// NormalizeSql / ParseSql.
 
+#include <cctype>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
+#include <iterator>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
 #include <gtest/gtest.h>
 
 #include "dioid/tropical.h"
 #include "query/sql.h"
 #include "test_util.h"
+#include "util/logging.h"
+#include "util/random.h"
 #include "workload/generators.h"
 
 namespace anyk {
@@ -80,6 +91,21 @@ TEST(SqlParseTest, RejectsBadLimit) {
                "LIMIT 0 is not a query");
 }
 
+TEST(SqlParseTest, RejectsLimitAboveSizeMaxWithOffset) {
+  // The largest size_t is a legal LIMIT; one more is a SQL error carrying
+  // the token's offset, like every other syntax error — never an exception
+  // from outside the CHECK path.
+  EXPECT_EQ(ParseSql("SELECT * FROM R1 LIMIT 18446744073709551615").limit,
+            SIZE_MAX);
+  EXPECT_EQ(ParseSql("SELECT * FROM R1 LIMIT 007").limit, 7u);
+  EXPECT_DEATH({ ParseSql("SELECT * FROM R1 LIMIT 18446744073709551616"); },
+               "SQL:23: LIMIT expects a positive integer up to "
+               "18446744073709551615, got '18446744073709551616'");
+  EXPECT_DEATH({ NormalizeSql("SELECT * FROM R1 LIMIT 99999999999999999999"); },
+               "SQL:23: LIMIT expects a positive integer up to "
+               "18446744073709551615, got '99999999999999999999'");
+}
+
 TEST(SqlNormalizeTest, CanonicalizesSpellingVariants) {
   const std::string canonical = NormalizeSql(
       "SELECT * FROM R1, R2 WHERE R1.A2 = R2.A1 ORDER BY WEIGHT ASC");
@@ -113,6 +139,25 @@ TEST(SqlNormalizeTest, PreservesFromOrderAndReparses) {
   auto stmt = ParseSql(n2);
   EXPECT_EQ(stmt.query.NumAtoms(), 2u);
   EXPECT_TRUE(stmt.ascending);
+}
+
+TEST(SqlNormalizeTest, SplitsTheLimitOffTheCacheKey) {
+  // Every LIMIT of one statement shares the LIMIT-free text; the limit
+  // comes back separately, and the two rebuild NormalizeSql's result.
+  const NormalizedSql none = NormalizeSqlParts(
+      "select * from R1, R2 where R2.a1 = R1.a2");
+  const NormalizedSql five = NormalizeSqlParts(
+      "SELECT * FROM R1, R2 WHERE R1.A2 = R2.A1 ORDER BY WEIGHT LIMIT 05;");
+  EXPECT_EQ(none.text, five.text);
+  EXPECT_EQ(none.text,
+            "SELECT * FROM R1, R2 WHERE R1.A2 = R2.A1 ORDER BY WEIGHT ASC");
+  EXPECT_EQ(none.limit, 0u);
+  EXPECT_EQ(five.limit, 5u);
+  EXPECT_EQ(none.WithLimit(), none.text);
+  EXPECT_EQ(five.WithLimit(), five.text + " LIMIT 5");
+  EXPECT_EQ(five.WithLimit(), NormalizeSql(
+      "SELECT * FROM R1, R2 WHERE R1.A2 = R2.A1 ORDER BY WEIGHT LIMIT 05;"));
+  EXPECT_EQ(ParseSql(five.text).limit, 0u);
 }
 
 TEST(SqlExecuteTest, MatchesOracleAscending) {
@@ -172,6 +217,197 @@ TEST(SqlExecuteTest, PaperExample1FourCycle) {
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_DOUBLE_EQ(results[i].weight, oracle[i].weight);
   }
+}
+
+// ---- Seeded mutation fuzz: NormalizeSql / ParseSql on hostile input. ----
+
+// Seed statements: the repo benchmark's (perfbench/run.py), the
+// query_handle_test cases, and this file's own.
+const std::vector<std::string>& FuzzSeeds() {
+  static const std::vector<std::string> seeds = {
+      // perfbench/run.py
+      "SELECT * FROM R1, R2, R3, R4 WHERE R1.A2 = R2.A1 AND R2.A2 = R3.A1 "
+      "AND R3.A2 = R4.A1 ORDER BY WEIGHT ASC",
+      "SELECT * FROM R1, R2, R3, R4 WHERE R1.A2 = R2.A1 AND R2.A2 = R3.A1 "
+      "AND R3.A2 = R4.A1 ORDER BY WEIGHT ASC LIMIT 1000",
+      "SELECT * FROM R1, R2, R3 WHERE R1.A2 = R2.A1 AND R2.A2 = R3.A1 "
+      "ORDER BY WEIGHT DESC",
+      "SELECT * FROM C1, C2, C3, C4 WHERE C1.A2 = C2.A1 AND C2.A2 = C3.A1 "
+      "AND C3.A2 = C4.A1 AND C4.A2 = C1.A1 ORDER BY WEIGHT ASC LIMIT 100",
+      // query_handle_test
+      "SELECT R3.A2, R1.A1 FROM R1, R2, R3 WHERE R1.A2 = R2.A1 AND "
+      "R2.A2 = R3.A1 ORDER BY WEIGHT DESC LIMIT 70",
+      "SELECT R2.A1 FROM R1, R2, R3, R4 WHERE R1.A2 = R2.A1 AND "
+      "R2.A2 = R3.A1 AND R3.A2 = R4.A1 AND R4.A2 = R1.A1 LIMIT 25",
+      "SELECT R1.A1, R1.A2 FROM R1, R2, R3 WHERE R1.A2 = R2.A1 AND "
+      "R2.A2 = R3.A1 AND R3.A2 = R1.A1 ORDER BY WEIGHT DESC",
+      // this file
+      "SELECT * FROM E e1, E e2, E e3, E e4 WHERE e1.A2 = e2.A1 AND "
+      "e2.A2 = e3.A1 AND e3.A2 = e4.A1 AND e4.A2 = e1.A1 "
+      "ORDER BY WEIGHT DESC",
+      "SELECT R1.A1, R2.A2 FROM R1, R2 WHERE R1.A2 = R2.A1",
+      "select  *  from R1 ,R2 where R2.a1=R1.a2;",
+      "SELECT * FROM R1 LIMIT 3",
+      "SELECT * FROM R1; SELECT * FROM R1",
+      "SELECT * FROM R1 LIMIT 18446744073709551615",
+  };
+  return seeds;
+}
+
+// Applies one seeded mutation: a byte inserted, deleted or replaced; an
+// inserted LIMIT / ORDER / AND / ',' / ';'; a LIMIT with a run of 1-25
+// digits (leading zeros included) replacing the statement's LIMIT or
+// appended; a run of letters case-flipped; a whitespace run; truncation.
+void MutateSql(Rng* rng, std::string* sql) {
+  const size_t pos = rng->Below(sql->size() + 1);
+  static const char* const kTokens[] = {" LIMIT ", "LIMIT", " ORDER ",
+                                        " AND ", "AND", ",", ";"};
+  switch (rng->Below(9)) {
+    case 0:
+      sql->insert(pos, 1, static_cast<char>(rng->Below(256)));
+      break;
+    case 1:
+      if (pos < sql->size()) sql->erase(pos, 1);
+      break;
+    case 2:
+      if (pos < sql->size()) (*sql)[pos] = static_cast<char>(rng->Below(256));
+      break;
+    case 3:
+    case 4:
+      sql->insert(pos, kTokens[rng->Below(std::size(kTokens))]);
+      break;
+    case 5: {  // LIMIT <1-25 digits>, sometimes zero-padded
+      std::string digits(rng->Below(4) == 0 ? rng->Below(4) + 1 : 0, '0');
+      const size_t n = 1 + rng->Below(25);
+      while (digits.size() < n) {
+        digits.push_back(static_cast<char>('0' + rng->Below(10)));
+      }
+      const size_t at = sql->rfind(" LIMIT ");
+      if (at != std::string::npos && rng->Bernoulli(0.7)) {
+        size_t end = at + 7;
+        while (end < sql->size() &&
+               std::isdigit(static_cast<unsigned char>((*sql)[end]))) {
+          ++end;
+        }
+        sql->replace(at + 7, end - at - 7, digits);
+      } else {
+        sql->append(" LIMIT " + digits);
+      }
+      break;
+    }
+    case 6:  // flip the case of a run of letters
+      for (size_t i = pos, n = rng->Below(12); i < sql->size() && n > 0;
+           ++i, --n) {
+        const auto c = static_cast<unsigned char>((*sql)[i]);
+        (*sql)[i] = static_cast<char>(std::isupper(c) ? std::tolower(c)
+                                                      : std::toupper(c));
+      }
+      break;
+    case 7: {
+      static const char kSpace[] = {' ', '\t', '\n', '\r', '\f', '\v'};
+      for (size_t n = 1 + rng->Below(5); n > 0; --n) {
+        sql->insert(pos, 1, kSpace[rng->Below(sizeof(kSpace))]);
+      }
+      break;
+    }
+    default:
+      sql->resize(pos);
+      break;
+  }
+}
+
+// A parsed statement rendered for comparison: atoms with their variable
+// ids, the variable count, the SELECT list, the direction and the limit.
+std::string Shape(const SqlStatement& stmt) {
+  std::ostringstream out;
+  for (size_t a = 0; a < stmt.query.NumAtoms(); ++a) {
+    out << stmt.query.atom(a).relation << "(";
+    for (uint32_t v : stmt.query.AtomVarIds(a)) out << v << ",";
+    out << ") ";
+  }
+  out << "vars=" << stmt.query.NumVars() << " select=";
+  for (uint32_t v : stmt.select_vars) out << v << ",";
+  out << (stmt.ascending ? " ASC" : " DESC") << " limit=" << stmt.limit;
+  return out.str();
+}
+
+// Printable form of a mutated statement for failure messages.
+std::string Printable(const std::string& sql) {
+  std::ostringstream out;
+  for (unsigned char c : sql) {
+    if (std::isprint(c)) {
+      out << c;
+    } else {
+      out << "\\x" << std::hex << static_cast<int>(c) << std::dec;
+    }
+  }
+  return out.str();
+}
+
+// Runs `fn`; a CheckError is an accepted outcome (nullopt), any other
+// exception fails the test.
+template <typename Fn>
+auto CheckedOrNullopt(const std::string& sql, Fn fn)
+    -> std::optional<decltype(fn())> {
+  try {
+    return fn();
+  } catch (const CheckError&) {
+    return std::nullopt;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "non-CheckError exception '" << e.what() << "' for '"
+                  << Printable(sql) << "'";
+    return std::nullopt;
+  }
+}
+
+// Installs the throwing CHECK handler: a rejected statement must surface
+// as CheckError (the server's 400, the CLI's exit 1), never as an abort.
+class SqlFuzzTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    prev_ = SetCheckFailureHandler(&ThrowingCheckHandler);
+  }
+  void TearDown() override { SetCheckFailureHandler(prev_); }
+
+ private:
+  internal::CheckFailureHandler prev_ = nullptr;
+};
+
+TEST_F(SqlFuzzTest, MutatedStatementsParseOrFailWithCheckError) {
+  Rng rng(20260419);
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (const std::string& seed : FuzzSeeds()) {
+    for (int variant = 0; variant < 1000; ++variant) {
+      std::string sql = seed;
+      const size_t mutations = variant == 0 ? 0 : 1 + rng.Below(3);
+      for (size_t m = 0; m < mutations; ++m) MutateSql(&rng, &sql);
+      SCOPED_TRACE("'" + Printable(sql) + "'");
+
+      const auto normalized =
+          CheckedOrNullopt(sql, [&] { return NormalizeSql(sql); });
+      const auto stmt = CheckedOrNullopt(sql, [&] { return ParseSql(sql); });
+      // NormalizeSql and ParseSql share one syntax pass: they accept the
+      // same statements.
+      ASSERT_EQ(normalized.has_value(), stmt.has_value());
+      if (!normalized.has_value()) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      EXPECT_EQ(NormalizeSql(*normalized), *normalized);
+      EXPECT_EQ(Shape(ParseSql(*normalized)), Shape(*stmt)) << *normalized;
+      const NormalizedSql parts = NormalizeSqlParts(sql);
+      EXPECT_EQ(parts.WithLimit(), *normalized);
+      EXPECT_EQ(parts.limit, stmt->limit);
+      SqlStatement unlimited = *stmt;
+      unlimited.limit = 0;
+      EXPECT_EQ(Shape(ParseSql(parts.text)), Shape(unlimited)) << parts.text;
+    }
+  }
+  // Both outcomes must be well represented for the sweep to mean anything.
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 }  // namespace
