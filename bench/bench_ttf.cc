@@ -10,12 +10,12 @@
 //   * "Prefill-columnar" / "Prefill-rowref" — paired replicas of the
 //     storage-touching stage-build passes (join-key interning, CSR counting
 //     scatter, per-group weight reduction, first-answer chain walk) that
-//     differ ONLY in access pattern: column-strided reads through the
-//     GatherKernels over Relation's segments, vs interleaved row-major reads
-//     over a RowMajorTable snapshot with a per-row materialized Key (the
-//     pre-columnar ProjectRow idiom, one heap vector per row). The pair
-//     isolates what the layout conversion bought; the paper note pins the
-//     expected >=25% TTF win on path and star.
+//     differ ONLY in access pattern: column-strided reads through the bind
+//     kernels (storage/kernels.h) over Relation's segments, vs interleaved
+//     row-major reads over a RowMajorTable snapshot with a per-row
+//     materialized Key (the pre-columnar ProjectRow idiom, one heap vector
+//     per row). The pair isolates what the layout conversion bought; the
+//     paper note pins the expected >=25% TTF win on path and star.
 //
 // Each record's `seconds` is cumulative over `reps` repetitions (fixed per
 // series, so baseline and current runs stay comparable).
@@ -91,12 +91,12 @@ struct PrefillScratch {
 };
 
 // Column-strided: key matrix prefilled from the column segment via
-// spread_to_stride, contiguous interning, weights read off the contiguous
+// SpreadToStride, contiguous interning, weights read off the contiguous
 // weight segment.
 double PrefillColumnar(const std::vector<const Relation*>& chain,
                        const std::vector<uint32_t>& join_col,
                        const std::vector<uint32_t>& probe_col,
-                       const GatherKernels& kx, PrefillScratch* s) {
+                       PrefillScratch* s) {
   Timer timer;
   const size_t stages = chain.size();
   s->best.assign(chain[stages - 1]->NumRows(), 0.0);
@@ -109,8 +109,8 @@ double PrefillColumnar(const std::vector<const Relation*>& chain,
     const size_t child_rows = child.NumRows();
     // Key-matrix prefill straight off the column segment.
     s->key_rows.resize(child_rows);
-    kx.spread_to_stride(child.ColumnData(join_col[i + 1]), child_rows,
-                        s->key_rows.data(), 1);
+    SpreadToStride(child.ColumnData(join_col[i + 1]), child_rows,
+                   s->key_rows.data(), 1);
     s->idx.Init(1, child_rows / 4);
     s->gid.resize(child_rows);
     for (size_t r = 0; r < child_rows; ++r) {
@@ -247,12 +247,11 @@ int main(int argc, char** argv) {
     }
 
     PrefillScratch scratch;
-    const GatherKernels& kx = GetGatherKernels(KernelKind::kAuto);
-    PrefillColumnar(chain, join_col, probe_col, kx, &scratch);  // warm
+    PrefillColumnar(chain, join_col, probe_col, &scratch);      // warm
     PrefillRowRef(row_chain, join_col, probe_col, &scratch);    // warm
     double col_total = 0, row_total = 0;
     for (size_t r = 0; r < prefill_reps; ++r) {
-      col_total += PrefillColumnar(chain, join_col, probe_col, kx, &scratch);
+      col_total += PrefillColumnar(chain, join_col, probe_col, &scratch);
       row_total += PrefillRowRef(row_chain, join_col, probe_col, &scratch);
     }
     PrintRow("ttf", s.name, "prefill", s.n, "Prefill-columnar", 1, col_total);

@@ -19,7 +19,6 @@
 #include "plan/planner.h"
 #include "query/sql.h"
 #include "storage/database.h"
-#include "storage/kernels.h"
 #include "util/alloc_stats.h"
 #include "util/checkpoints.h"
 #include "util/json.h"
@@ -457,13 +456,6 @@ const char* UsageText() {
       "                        drains on its own worker (default 1 = "
       "unsharded;\n"
       "                        docs/ARCHITECTURE.md 'Sharding')\n"
-      "  --kernels NAME        bind-kernel flavor: auto (default; honors "
-      "the\n"
-      "                        ANYK_KERNELS env), scalar, or unrolled — "
-      "same\n"
-      "                        output either way (docs/ARCHITECTURE.md, "
-      "'Memory\n"
-      "                        layout')\n"
       "\n"
       "CSV loading (applies to every --relation):\n"
       "  --delimiter C         field delimiter (default ',')\n"
@@ -646,15 +638,6 @@ bool ParseCliArgs(int argc, char** argv, CliOptions* opt, std::string* error) {
         *error = "--shards expects a positive integer, got '" + v + "'";
         return false;
       }
-    } else if (is_flag(a, "--kernels")) {
-      if (!value_of(&i, "--kernels", &v)) return false;
-      KernelKind kk;
-      if (!ParseKernelKind(v, &kk)) {
-        *error = "--kernels expects auto, scalar or unrolled, got '" + v +
-                 "'";
-        return false;
-      }
-      opt->kernels = v;
     } else if (is_flag(a, "--row-limit")) {
       if (!value_of(&i, "--row-limit", &v)) return false;
       if (!ParseSize(v, &opt->csv.limit)) {
@@ -755,8 +738,6 @@ int RunCli(const CliOptions& opt) {
   }
 
   ShardedQueryOptions qopts;
-  // --kernels was validated at flag-parse time.
-  ParseKernelKind(opt.kernels, &qopts.prepare.enum_opts.kernels);
   qopts.prepare.pool = &pool;
   // `auto` also unlocks the planner's topology choice (join-tree root /
   // stage order), not just the strategy pick.

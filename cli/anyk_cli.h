@@ -41,10 +41,6 @@ struct CliOptions {
   // independent EnumerationSession of the same PreparedQuery; implies
   // --no-results and reports per-session TTL + aggregate answers/sec.
   size_t sessions = 1;
-  // Bind-kernel flavor (--kernels): "auto" (default; honors the
-  // ANYK_KERNELS env override), "scalar" or "unrolled". Reaches the stage
-  // graph build and the batched NextBatch binds via EnumOptions::kernels.
-  std::string kernels = "auto";
   // Intra-query data shards (--shards): hash-partition the relations on the
   // query's partition variable and prepare S independent per-shard
   // pipelines, merged per session through a ranked union

@@ -32,6 +32,14 @@ Rules (see docs/STATIC_ANALYSIS.md for the rationale of each):
                        only the function name as the message. Use ParseSize
                        (src/util/parse.h) or std::from_chars and CHECK-fail
                        with a located message.
+  lenient-parse        No strtol/strtoll/strtoul/strtoull/atoi/atol/atoll in
+                       src/ and cli/: they saturate on overflow, accept a
+                       sign and leading blanks, and ignore trailing bytes
+                       unless the caller checks the end pointer. Use
+                       ParseSize or std::from_chars over the whole field.
+  env-knob             No getenv/secure_getenv in src/ and cli/:
+                       configuration is a flag that --help lists, never an
+                       environment variable that silently changes a run.
   iostream-header      No `#include <iostream>` in library headers — it
                        injects a static iostream initializer into every TU.
   raw-mutex            `std::mutex` / `std::condition_variable` / std lock
@@ -93,6 +101,9 @@ _FLOAT_CONVERSION = re.compile(
     r"%[-+ #0']*(?:\d+|\*)?(?:\.(?:\d+|\*)?)?(?:hh|h|ll|l|L|j|z|t)?[aAeEfFgG]"
 )
 _THROWING_PARSE = re.compile(r"\b(?:std::)?sto(?:i|l|ll|ul|ull)\s*\(")
+_LENIENT_PARSE = re.compile(
+    r"\b(?:std::)?(?:strto(?:l|ll|ul|ull)|ato(?:i|l|ll))\s*\(")
+_ENV_KNOB = re.compile(r"\b(?:std::)?(?:secure_)?getenv\s*\(")
 _IOSTREAM = re.compile(r'#\s*include\s*<iostream>')
 _RAW_MUTEX = re.compile(
     r"\bstd::(?:mutex|timed_mutex|recursive_mutex|shared_mutex|"
@@ -241,6 +252,45 @@ class ThrowingParse(Rule):
         return None
 
 
+class LenientParse(Rule):
+    def __init__(self) -> None:
+        super().__init__(
+            "lenient-parse",
+            "no strtol/strtoll/strtoul/strtoull/atoi/atol/atoll in src/ and "
+            "cli/: they saturate, accept signs and ignore trailing bytes; "
+            "use ParseSize or std::from_chars",
+        )
+
+    def applies_to(self, relpath: str) -> bool:
+        return relpath.startswith(("src/", "cli/"))
+
+    def check_line(self, relpath: str, code: str) -> str | None:
+        if _LENIENT_PARSE.search(code):
+            return ("strtol-family / atoi parse leniently: they saturate on "
+                    "overflow, accept a sign and leading blanks, and ignore "
+                    "trailing bytes; parse the whole field with ParseSize "
+                    "(src/util/parse.h) or std::from_chars")
+        return None
+
+
+class EnvKnob(Rule):
+    def __init__(self) -> None:
+        super().__init__(
+            "env-knob",
+            "no getenv/secure_getenv in src/ and cli/: configuration is a "
+            "flag that --help lists",
+        )
+
+    def applies_to(self, relpath: str) -> bool:
+        return relpath.startswith(("src/", "cli/"))
+
+    def check_line(self, relpath: str, code: str) -> str | None:
+        if _ENV_KNOB.search(code):
+            return ("environment lookup changes a run behind --help's back; "
+                    "make it a flag (or an option field) instead")
+        return None
+
+
 class IostreamHeader(Rule):
     def __init__(self) -> None:
         super().__init__(
@@ -283,6 +333,8 @@ RULES: list[Rule] = [
     UnorderedMap(),
     LocaleParse(),
     ThrowingParse(),
+    LenientParse(),
+    EnvKnob(),
     IostreamHeader(),
     RawMutex(),
 ]
@@ -549,6 +601,33 @@ SELF_TEST_CASES = [
      "// std::stoull(k.text) throws out_of_range past 2^64 - 1\n"
      "const char* msg = \"std::stoull(x)\";\n",
      set()),
+    ("strtoull is a lenient parse",
+     "src/server/bad.cc",
+     "const unsigned long long n = std::strtoull(v.c_str(), &endp, 10);\n",
+     {"lenient-parse"}),
+    ("strtol without std::",
+     "src/query/bad.cc", "const long idx = strtol(s + 1, nullptr, 10);\n",
+     {"lenient-parse"}),
+    ("atoi in cli",
+     "cli/bad.cc", "const int port = std::atoi(argv[1]);\n",
+     {"lenient-parse"}),
+    ("strtold is locale-parse, not lenient-parse",
+     "src/util/bad.cc", "long double x = strtold(s, nullptr);\n",
+     {"locale-parse"}),
+    ("strtoull in a comment/string does not fire",
+     "src/server/ok.cc",
+     "// strtoull accepts \"-0\", so Content-Length goes through ParseSize\n"
+     "const char* msg = \"atoi(x)\";\n",
+     set()),
+    ("getenv is an env knob",
+     "src/storage/bad.cc",
+     "if (const char* env = std::getenv(\"ANYK_X\")) Use(env);\n",
+     {"env-knob"}),
+    ("secure_getenv in cli",
+     "cli/bad.cc", "const char* home = secure_getenv(\"HOME\");\n",
+     {"env-knob"}),
+    ("getenv in a comment does not fire",
+     "src/util/ok.h", "// no std::getenv here: flags only\nint x;\n", set()),
     ("iostream in a library header",
      "src/util/bad.h", "#include <iostream>\n", {"iostream-header"}),
     ("iostream in a .cc is fine",

@@ -82,8 +82,7 @@ class AnyKPartEnumerator : public Enumerator<D> {
         batch_states_(ArenaAllocator<uint32_t>(&arena_)),
         batch_weights_(ArenaAllocator<V>(&arena_)),
         batch_ids_(ArenaAllocator<uint32_t>(&arena_)),
-        batch_vals_(ArenaAllocator<Value>(&arena_)),
-        kx_(&GetGatherKernels(opts.kernels)) {
+        batch_vals_(ArenaAllocator<Value>(&arena_)) {
     arena_.Reserve(opts_.arena_reserve_bytes);
     if constexpr (requires { cand_.SetBudget(size_t{0}); }) {
       cand_.SetBudget(opts_.k_budget);
@@ -108,7 +107,7 @@ class AnyKPartEnumerator : public Enumerator<D> {
 
   /// Batched pull: pop up to `n` answers first (stashing each answer's stage
   /// states and weight in arena scratch), then bind variables stage-wise
-  /// across the whole batch via the gather kernels — per stage, one strided
+  /// across the whole batch via the bind kernels — per stage, one strided
   /// extraction of the batch's state column, one row-id gather, and one
   /// column-segment gather per variable (BindStateBatch), instead of
   /// re-touching all L stages tuple-at-a-time per answer. Short return ⇒
@@ -132,7 +131,7 @@ class AnyKPartEnumerator : public Enumerator<D> {
     batch_vals_.resize(produced);
     for (uint32_t j = 0; j < L; ++j) {
       BindStateBatch(*g_, j, batch_states_.data(), L, j, produced, rows,
-                     opts_.with_witness, *kx_, batch_ids_.data(),
+                     opts_.with_witness, batch_ids_.data(),
                      batch_vals_.data());
     }
     return produced;
@@ -377,7 +376,6 @@ class AnyKPartEnumerator : public Enumerator<D> {
   ArenaVector<V> batch_weights_;
   ArenaVector<uint32_t> batch_ids_;  // BindStateBatch id scratch (2 per row)
   ArenaVector<Value> batch_vals_;    // BindStateBatch value scratch
-  const GatherKernels* kx_;          // bound once at construction
   V assigned_weight_ = D::One();
   V cur_total_{};            // weight of the answer Advance() just produced
   size_t emitted_ = 0;       // answers popped so far (budget accounting)

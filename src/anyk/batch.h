@@ -33,8 +33,7 @@ class BatchEnumerator : public Enumerator<D> {
 
  public:
   explicit BatchEnumerator(const StageGraph<D>* g, BatchOptions opts = {})
-      : g_(g), opts_(opts),
-        kx_(&GetGatherKernels(opts.enum_opts.kernels)) {}
+      : g_(g), opts_(opts) {}
 
   bool NextInto(ResultRow<D>* row) override {
     if (!materialized_) Materialize();
@@ -50,7 +49,7 @@ class BatchEnumerator : public Enumerator<D> {
     return true;
   }
 
-  /// Batched pull, bound stage-wise through the gather kernels: the batch's
+  /// Batched pull, bound stage-wise through the bind kernels: the batch's
   /// rank window of `order_` becomes a dense state matrix (one strided
   /// gather per stage out of the materialized solutions), then each stage
   /// binds its whole column of the batch in one BindStateBatch pass. Short
@@ -78,7 +77,7 @@ class BatchEnumerator : public Enumerator<D> {
     }
     for (uint32_t j = 0; j < L; ++j) {
       BindStateBatch(*g_, j, batch_states_.data(), L, j, produced, rows,
-                     opts_.enum_opts.with_witness, *kx_, batch_ids_.data(),
+                     opts_.enum_opts.with_witness, batch_ids_.data(),
                      batch_vals_.data());
     }
     cursor_ += produced;
@@ -190,7 +189,6 @@ class BatchEnumerator : public Enumerator<D> {
 
   const StageGraph<D>* g_;
   BatchOptions opts_;
-  const GatherKernels* kx_;  // bound once at construction
   bool materialized_ = false;
   std::vector<uint32_t> solutions_;  // |out| * L state ids
   std::vector<V> weights_;

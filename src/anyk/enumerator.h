@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "dioid/dioid.h"
-#include "storage/kernels.h"
 #include "storage/value.h"
 
 namespace anyk {
@@ -64,13 +63,6 @@ struct EnumOptions {
   // frequent block chaining — used by fuzz tests to stress arena
   // boundaries; production code should leave this alone.
   size_t arena_block_bytes = 0;
-  // Bind-kernel flavor for the batched NextBatch paths (and, through
-  // PreparedQuery, the stage-graph build): resolved ONCE at prepare /
-  // construction time via GetGatherKernels, never per batch. kAuto defers
-  // to DefaultKernelKind() (ANYK_KERNELS env override; see
-  // storage/kernels.h). Both flavors produce byte-identical output — this
-  // knob trades debuggability against throughput only.
-  KernelKind kernels = KernelKind::kAuto;
 };
 
 /// Pull-based enumerator: answers come out in non-decreasing rank order
@@ -129,7 +121,7 @@ class Enumerator {
   /// This base fallback inherits the contract from NextInto (its only
   /// short-stop is NextInto returning false, i.e. exhaustion — clause 2
   /// holds by construction). ANYK-PART and the batch enumerator override it
-  /// to bind variables stage-wise across the whole batch via the gather
+  /// to bind variables stage-wise across the whole batch via the bind
   /// kernels (storage/kernels.h); enumerators with no such cross-answer
   /// structure keep this NextInto loop.
   virtual size_t NextBatch(ResultRow<D>* rows, size_t n) {

@@ -182,7 +182,7 @@ class PreparedQuery {
                           : RerootChains(normalized)));
       graphs_.push_back(std::make_unique<StageGraph<D>>(BuildStageGraph<D>(
           instances_.back(), /*num_atoms_override=*/0, /*hook=*/nullptr,
-          pool, opts_.enum_opts.kernels)));
+          pool)));
       DecideStrategy();
       return;
     }
@@ -197,7 +197,7 @@ class PreparedQuery {
       ParallelFor(pool, instances_.size(), [&](size_t i) {
         graphs_[i] = std::make_unique<StageGraph<D>>(BuildStageGraph<D>(
             instances_[i], /*num_atoms_override=*/0, /*hook=*/nullptr,
-            /*pool=*/nullptr, opts_.enum_opts.kernels));
+            /*pool=*/nullptr));
       });
       DecideStrategy();
       return;

@@ -221,11 +221,8 @@ template <SelectiveDioid D>
 StageGraph<D> BuildStageGraph(const TDPInstance& inst,
                               size_t num_atoms_override = 0,
                               const StateWeightHook<D>* hook = nullptr,
-                              ThreadPool* pool = nullptr,
-                              KernelKind kernels = KernelKind::kAuto) {
+                              ThreadPool* pool = nullptr) {
   using V = typename D::Value;
-  const GatherKernels& kx = GetGatherKernels(kernels);
-  const DioidKernels<D>& dk = GetDioidKernels<D>(kernels);
   const size_t num_atoms =
       num_atoms_override == 0 ? inst.num_atoms : num_atoms_override;
   const size_t L = inst.nodes.size();
@@ -297,8 +294,8 @@ StageGraph<D> BuildStageGraph(const TDPInstance& inst,
       slot_width[j] = width;
       slot_keys[j].resize(rows * width);
       for (size_t c = 0; c < width; ++c) {
-        kx.spread_to_stride(nd.table->ColumnData(cnd.parent_key_cols[c]),
-                            rows, slot_keys[j].data() + c, width);
+        SpreadToStride(nd.table->ColumnData(cnd.parent_key_cols[c]), rows,
+                       slot_keys[j].data() + c, width);
       }
     }
 
@@ -362,9 +359,8 @@ StageGraph<D> BuildStageGraph(const TDPInstance& inst,
       conn_of_key[kk].Init(width, ns);
       std::vector<Value> key_rows(ns * width);
       for (size_t c = 0; c < width; ++c) {
-        kx.gather_to_stride(nd.table->ColumnData(nd.key_cols[c]),
-                            st.row_of_state.data(), ns, key_rows.data() + c,
-                            width);
+        GatherToStride(nd.table->ColumnData(nd.key_cols[c]),
+                       st.row_of_state.data(), ns, key_rows.data() + c, width);
       }
       for (size_t s = 0; s < ns; ++s) {
         conn_of_state_local[s] = conn_of_key[kk].Intern(
@@ -381,7 +377,7 @@ StageGraph<D> BuildStageGraph(const TDPInstance& inst,
     // member_val is weight ⊗ pi1 per state; batch the ⊗ over the two flat
     // arrays (dioid kernel) before the scatter permutes it into CSR order.
     std::vector<V> comb(ns);
-    dk.combine(st.weight.data(), st.pi1.data(), ns, comb.data());
+    Combine<D>(st.weight.data(), st.pi1.data(), ns, comb.data());
     std::vector<uint32_t> cursor(st.conn_begin.begin(), st.conn_begin.end() - 1);
     for (size_t s = 0; s < ns; ++s) {
       const uint32_t pos = cursor[conn_of_state_local[s]]++;
@@ -460,18 +456,17 @@ template <SelectiveDioid D>
 void BindStateBatch(const StageGraph<D>& g, uint32_t stage,
                     const uint32_t* states_base, size_t stride, size_t offset,
                     size_t count, ResultRow<D>* rows, bool with_witness,
-                    const GatherKernels& kx, uint32_t* id_scratch,
-                    Value* val_scratch) {
+                    uint32_t* id_scratch, Value* val_scratch) {
   if (count == 0) return;
   const auto& st = g.stages[stage];
   const TDPNode& nd = g.instance->nodes[st.node_idx];
   uint32_t* state_ids = id_scratch;
   uint32_t* row_ids = id_scratch + count;
-  kx.copy_strided_u32(states_base, stride, offset, count, state_ids);
-  kx.gather_u32(st.row_of_state.data(), state_ids, count, row_ids);
+  CopyStridedU32(states_base, stride, offset, count, state_ids);
+  GatherU32(st.row_of_state.data(), state_ids, count, row_ids);
   for (size_t c = 0; c < nd.vars.size(); ++c) {
     const uint32_t var = nd.vars[c];
-    kx.gather(nd.table->ColumnData(c), row_ids, count, val_scratch);
+    Gather(nd.table->ColumnData(c), row_ids, count, val_scratch);
     for (size_t b = 0; b < count; ++b) {
       rows[b].assignment[var] = val_scratch[b];
     }
@@ -481,8 +476,8 @@ void BindStateBatch(const StageGraph<D>& g, uint32_t stage,
     for (size_t p = 0; p < pins; ++p) {
       const uint32_t atom = nd.pinned_atoms[p];
       // state_ids is dead past this point; reuse it as the witness scratch.
-      kx.gather_u32_strided(nd.pin_rows.data(), pins, p, row_ids, count,
-                            state_ids);
+      GatherU32Strided(nd.pin_rows.data(), pins, p, row_ids, count,
+                       state_ids);
       for (size_t b = 0; b < count; ++b) {
         rows[b].witness[atom] = state_ids[b];
       }

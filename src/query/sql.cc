@@ -7,6 +7,7 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -96,6 +97,7 @@ struct Cursor {
 struct ColumnRef {
   std::string table;  // alias
   size_t column;      // zero-based
+  size_t offset;      // of the column token, for diagnostics
 };
 
 // Canonical rendering: alias spelled as written, column always `A<n>`.
@@ -103,23 +105,28 @@ std::string RenderColumnRef(const ColumnRef& ref) {
   return ref.table + ".A" + std::to_string(ref.column + 1);
 }
 
-size_t ParseColumnNumber(const std::string& col, size_t offset) {
-  ANYK_CHECK(col.size() >= 2 && (col[0] == 'A' || col[0] == 'a'))
-      << "SQL:" << offset << ": columns are addressed as A1..An, got '" << col
-      << "'";
-  const long idx = std::strtol(col.c_str() + 1, nullptr, 10);
-  ANYK_CHECK_GE(idx, 1) << "SQL:" << offset << ": bad column '" << col << "'";
-  return static_cast<size_t>(idx - 1);
+// `A<n>` or `a<n>`: n is decimal digits only, 1 <= n <= kMaxColumn. The
+// cap bounds a statement before any arity is known: without a database,
+// ParseSql gives each table as many variable slots as its largest
+// referenced column.
+constexpr size_t kMaxColumn = 4096;
+
+size_t ParseColumnNumber(const Token& col) {
+  const std::string_view s = col.text;
+  size_t n = 0;
+  const bool ok = s.size() >= 2 && (s[0] == 'A' || s[0] == 'a') &&
+                  ParseSize(s.substr(1), &n) && n >= 1 && n <= kMaxColumn;
+  ANYK_CHECK(ok) << "SQL:" << col.offset << ": bad column '" << col.text
+                 << "'; columns are addressed as A1..A" << kMaxColumn;
+  return n - 1;
 }
 
 // alias.A<k>
 ColumnRef ParseColumnRef(Cursor* cur) {
-  ColumnRef ref;
-  ref.table = cur->Take().text;
+  std::string table = cur->Take().text;
   cur->Expect(".");
   const Token col = cur->Take();
-  ref.column = ParseColumnNumber(col.text, col.offset);
-  return ref;
+  return {std::move(table), ParseColumnNumber(col), col.offset};
 }
 
 /// The statement at the syntax level: what was written, before any
@@ -175,8 +182,7 @@ ParsedSyntax ParseSyntax(const std::string& sql) {
   };
   for (const auto& [tbl, col] : select_raw) {
     check_alias(tbl.text, tbl.offset);
-    syn.select_refs.push_back(
-        {tbl.text, ParseColumnNumber(col.text, col.offset)});
+    syn.select_refs.push_back({tbl.text, ParseColumnNumber(col), col.offset});
   }
 
   if (cur.TryKeyword("WHERE")) {
@@ -235,30 +241,31 @@ SqlStatement ParseSql(const std::string& sql, const Database* db) {
   const ParsedSyntax syn = ParseSyntax(sql);
 
   // Build the CQ: one variable slot per (table, column); equalities merge
-  // slots. First find how many columns each table needs.
-  std::vector<size_t> max_col(syn.tables.size(), 0);
+  // slots. First find how many columns each table has: with a database the
+  // true arities, which every reference must respect; otherwise binary
+  // unless more columns were referenced.
+  std::vector<size_t> max_col(syn.tables.size(), 2);
+  if (db != nullptr) {
+    for (size_t t = 0; t < syn.tables.size(); ++t) {
+      max_col[t] = db->Get(syn.tables[t].first).arity();
+    }
+  }
   auto touch = [&](const ColumnRef& ref) {
     const size_t t = syn.alias_idx.at(ref.table);
-    max_col[t] = std::max(max_col[t], ref.column + 1);
-    return t;
+    if (db == nullptr) {
+      max_col[t] = std::max(max_col[t], ref.column + 1);
+    } else {
+      ANYK_CHECK(ref.column < max_col[t])
+          << "SQL:" << ref.offset << ": column out of range for "
+          << syn.tables[t].first << ": A" << ref.column + 1 << " of "
+          << max_col[t];
+    }
   };
   for (const auto& [lhs, rhs] : syn.equalities) {
     touch(lhs);
     touch(rhs);
   }
   for (const ColumnRef& ref : syn.select_refs) touch(ref);
-  // With a database the true arities are known; otherwise default tables to
-  // binary unless more columns were referenced.
-  for (size_t t = 0; t < syn.tables.size(); ++t) {
-    if (db != nullptr) {
-      const size_t arity = db->Get(syn.tables[t].first).arity();
-      ANYK_CHECK_LE(max_col[t], arity)
-          << "SQL: column out of range for " << syn.tables[t].first;
-      max_col[t] = arity;
-    } else {
-      max_col[t] = std::max<size_t>(max_col[t], 2);
-    }
-  }
 
   // Slot ids: prefix sums.
   std::vector<size_t> slot_base(syn.tables.size() + 1, 0);
@@ -269,9 +276,8 @@ SqlStatement ParseSql(const std::string& sql, const Database* db) {
   slots.parent.resize(slot_base.back());
   std::iota(slots.parent.begin(), slots.parent.end(), 0);
   auto slot_of = [&](const ColumnRef& ref) {
-    const size_t t = syn.alias_idx.at(ref.table);
-    ANYK_CHECK_LT(ref.column, max_col[t]) << "SQL: column out of range";
-    return static_cast<int>(slot_base[t] + ref.column);
+    return static_cast<int>(slot_base[syn.alias_idx.at(ref.table)] +
+                            ref.column);
   };
   for (const auto& [lhs, rhs] : syn.equalities) {
     slots.Union(slot_of(lhs), slot_of(rhs));

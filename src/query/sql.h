@@ -7,7 +7,8 @@
 //   ORDER BY WEIGHT [ASC|DESC]                  -- sum of tuple weights
 //   LIMIT k                                     -- optional
 //
-// Columns are addressed positionally as A1..A<arity>. The statement compiles
+// Columns are addressed positionally as A1..A<arity> (decimal digits only,
+// at most A4096). The statement compiles
 // to a ConjunctiveQuery: every (atom, column) slot gets a variable, WHERE
 // equalities merge variables (union-find), and a non-* SELECT list becomes
 // the free variables. Execution uses the tropical (ASC) or arctic (DESC)
@@ -41,8 +42,9 @@ struct SqlStatement {
 
 /// Parse the SQL dialect above; CHECK-fails on syntax errors with a
 /// `SQL:<byte offset>:` prefix locating the offending token. With a
-/// database, relation arities are taken from it (otherwise every table
-/// defaults to the largest referenced column, at least binary).
+/// database, relation arities are taken from it, and a column past its
+/// table's arity fails the same way (otherwise every table defaults to the
+/// largest referenced column, at least binary).
 SqlStatement ParseSql(const std::string& sql, const Database* db = nullptr);
 
 /// Canonical form of a statement, for use as a cache key: keywords

@@ -7,8 +7,9 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+
+#include "util/parse.h"
 
 namespace anyk {
 namespace server {
@@ -198,9 +199,11 @@ std::optional<HttpRequest> HttpConnection::ReadRequest() {
 
   auto clen = req.headers.find("content-length");
   if (clen != req.headers.end()) {
-    char* endp = nullptr;
-    const unsigned long long n = std::strtoull(clen->second.c_str(), &endp, 10);
-    if (endp == clen->second.c_str() || *endp != '\0' || n > kMaxBodyBytes) {
+    // RFC 9110: Content-Length = 1*DIGIT. No sign, no trailing bytes: with
+    // `-0` accepted, the body would be left unread and parsed as the next
+    // request on a keep-alive connection.
+    size_t n = 0;
+    if (!ParseSize(clen->second, &n) || n > kMaxBodyBytes) {
       HttpResponse bad;
       bad.status = 400;
       bad.body = "ERROR,400,bad content-length\n";
@@ -208,7 +211,7 @@ std::optional<HttpRequest> HttpConnection::ReadRequest() {
       WriteResponse(bad);
       return std::nullopt;
     }
-    if (!ReadExact(static_cast<size_t>(n), &req.body)) return std::nullopt;
+    if (!ReadExact(n, &req.body)) return std::nullopt;
     // A POST body in form encoding carries parameters too (curl -d idiom).
     auto ctype = req.headers.find("content-type");
     if (ctype == req.headers.end() ||

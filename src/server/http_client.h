@@ -13,12 +13,15 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace anyk {
 namespace server {
@@ -100,7 +103,11 @@ class HttpClient {
     const std::string status_line = ReadLine();
     const size_t sp = status_line.find(' ');
     ANYK_CHECK(sp != std::string::npos) << "bad status line: " << status_line;
-    resp.status = std::atoi(status_line.c_str() + sp + 1);
+    const std::errc code_ec =
+        std::from_chars(status_line.data() + sp + 1,
+                        status_line.data() + status_line.size(), resp.status)
+            .ec;
+    ANYK_CHECK(code_ec == std::errc()) << "bad status line: " << status_line;
 
     // Headers; we rely on Content-Length (the server always sends it).
     size_t content_length = 0;
@@ -109,8 +116,11 @@ class HttpClient {
       if (line.empty()) break;
       if (line.size() > 15 &&
           strncasecmp(line.c_str(), "content-length:", 15) == 0) {
-        content_length =
-            static_cast<size_t>(std::strtoull(line.c_str() + 15, nullptr, 10));
+        const size_t digits = line.find_first_not_of(" \t", 15);
+        ANYK_CHECK(digits != std::string::npos &&
+                   ParseSize(std::string_view(line).substr(digits),
+                             &content_length))
+            << "bad Content-Length: " << line;
       }
     }
     resp.body = ReadExact(content_length);

@@ -34,14 +34,11 @@ class GroupIndex {
   GroupIndex() = default;
 
   /// Build in expected O(rows) time.
-  GroupIndex(const Relation& rel, std::span<const uint32_t> key_cols,
-             KernelKind kernels = KernelKind::kAuto) {
-    Build(rel, key_cols, kernels);
+  GroupIndex(const Relation& rel, std::span<const uint32_t> key_cols) {
+    Build(rel, key_cols);
   }
 
-  void Build(const Relation& rel, std::span<const uint32_t> key_cols,
-             KernelKind kernels = KernelKind::kAuto) {
-    const GatherKernels& kx = GetGatherKernels(kernels);
+  void Build(const Relation& rel, std::span<const uint32_t> key_cols) {
     key_cols_.assign(key_cols.begin(), key_cols.end());
     const size_t rows = rel.NumRows();
     const size_t width = key_cols_.size();
@@ -52,8 +49,8 @@ class GroupIndex {
     // whole point) instead of striding over every row's interleaved values.
     std::vector<Value> key_rows(rows * width);
     for (size_t c = 0; c < width; ++c) {
-      kx.spread_to_stride(rel.ColumnData(key_cols_[c]), rows,
-                          key_rows.data() + c, width);
+      SpreadToStride(rel.ColumnData(key_cols_[c]), rows, key_rows.data() + c,
+                     width);
     }
 
     // Pass 1b: intern every row's key; remember the group per row.

@@ -1,136 +1,39 @@
-// Vectorized bind kernels over columnar segments (docs/ARCHITECTURE.md,
-// "Memory layout").
+// Bind kernels over columnar segments (docs/ARCHITECTURE.md, "Bind
+// kernels").
 //
 // The enumeration hot path moves batches of values between three flat
 // representations: column segments (storage/relation.h), dense row-id lists
 // (GroupIndex / StageGraph CSR arrays) and ResultRow slots. Each move is one
 // of a handful of primitive loops — gather, strided gather, strided copy,
-// column spread — plus the dioid-specific elementwise ⊗ accumulations. This
-// header packages those loops as a small *kernel registry*: a table of
-// function pointers per implementation flavor, selected ONCE at prepare
-// time (EnumOptions::kernels → the enumerator constructors and
-// BuildStageGraph pin a `const GatherKernels*`), so the per-batch code calls
-// straight through a pointer with no per-element dispatch.
+// column spread — plus the dioid's elementwise ⊗. They live here as plain
+// inline functions that BuildStageGraph, BindStateBatch and GroupIndex call
+// directly.
 //
-// Two flavors are registered (the registry shape follows Themis's CPU
-// backend table, src/acceleration/cpu_backend*.cpp — one struct of hooks
-// per backend, looked up by enum):
-//   * kScalar   — plain loops; the baseline and the fallback for tests.
-//   * kUnrolled — 4x manually unrolled bodies; breaks the loop-carried
-//     bookkeeping dependence so the OoO core keeps 4 loads in flight, and
-//     gives the auto-vectorizer straight-line gather bodies to work with.
-// Both flavors are exact — fuzz_test cross-checks them against naive loops
-// on adversarial (skewed, all-ties, hash-colliding) column data, and the
-// differential corpus byte-matches results across flavors.
+// The bodies are 4x manually unrolled: that breaks the loop-carried
+// bookkeeping dependence so the OoO core keeps 4 loads in flight, and gives
+// the auto-vectorizer straight-line gather bodies to work with. fuzz_test
+// checks every kernel against a naive loop on adversarial (skewed, all-ties,
+// hash-colliding) column data.
 //
 // All kernels are allocation-free: callers own every buffer (arena scratch
 // in the enumerators, stack/members in the builders), preserving the
-// zero-global-alloc enumeration invariant (invariants_test).
+// zero-global-alloc enumeration invariant (invariants_test). Every kernel
+// accepts n = 0 with null pointers.
 
 #ifndef ANYK_STORAGE_KERNELS_H_
 #define ANYK_STORAGE_KERNELS_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 #include "dioid/dioid.h"
 #include "storage/value.h"
 
 namespace anyk {
 
-/// Kernel implementation flavor. kAuto defers to DefaultKernelKind() (the
-/// build's preferred flavor, overridable via the ANYK_KERNELS environment
-/// variable — "scalar" or "unrolled").
-enum class KernelKind : uint8_t { kScalar = 0, kUnrolled = 1, kAuto = 255 };
-
-/// Value-movement kernels, independent of the dioid.
-struct GatherKernels {
-  const char* name;
-
-  // out[i] = col[ids[i]]                       (column gather by row id)
-  void (*gather)(const Value* col, const uint32_t* ids, size_t n, Value* out);
-
-  // out_base[i * out_stride] = col[ids[i]]     (gather into a strided
-  // destination, e.g. one column of a row-major key scratch matrix)
-  void (*gather_to_stride)(const Value* col, const uint32_t* ids, size_t n,
-                           Value* out_base, size_t out_stride);
-
-  // out[i] = col[ids[i]]                       (row-id indirection)
-  void (*gather_u32)(const uint32_t* col, const uint32_t* ids, size_t n,
-                     uint32_t* out);
-
-  // out[i] = base[ids[i] * stride + offset]    (strided source gather, e.g.
-  // the pin_rows / pin_weights arrays laid out row-major by pin)
-  void (*gather_u32_strided)(const uint32_t* base, size_t stride,
-                             size_t offset, const uint32_t* ids, size_t n,
-                             uint32_t* out);
-
-  // out[i] = base[i * stride + offset]         (strided sequential copy,
-  // e.g. one stage's column of the batch state matrix)
-  void (*copy_strided_u32)(const uint32_t* base, size_t stride, size_t offset,
-                           size_t n, uint32_t* out);
-
-  // out_base[i * out_stride] = col[i]          (spread one dense column into
-  // a row-major scratch matrix; the column-strided key-build primitive)
-  void (*spread_to_stride)(const Value* col, size_t n, Value* out_base,
-                           size_t out_stride);
-};
-
-/// Dioid-specific elementwise kernels (⊗ accumulation over flat arrays).
-template <SelectiveDioid D>
-struct DioidKernels {
-  using V = typename D::Value;
-  const char* name;
-
-  // out[i] = a[i] ⊗ b[i]                       (e.g. member_val = w ⊗ π1)
-  void (*combine)(const V* a, const V* b, size_t n, V* out);
-
-  // acc[i] = acc[i] ⊗ vals[ids[i]]             (batched weight accumulation)
-  void (*combine_gather)(const V* vals, const uint32_t* ids, size_t n,
-                         V* acc);
-};
-
-namespace kernel_impl {
-
-// ---- scalar flavor ----
-
-inline void GatherScalar(const Value* col, const uint32_t* ids, size_t n,
-                         Value* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = col[ids[i]];
-}
-
-inline void GatherToStrideScalar(const Value* col, const uint32_t* ids,
-                                 size_t n, Value* out_base,
-                                 size_t out_stride) {
-  for (size_t i = 0; i < n; ++i) out_base[i * out_stride] = col[ids[i]];
-}
-
-inline void GatherU32Scalar(const uint32_t* col, const uint32_t* ids,
-                            size_t n, uint32_t* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = col[ids[i]];
-}
-
-inline void GatherU32StridedScalar(const uint32_t* base, size_t stride,
-                                   size_t offset, const uint32_t* ids,
-                                   size_t n, uint32_t* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = base[ids[i] * stride + offset];
-}
-
-inline void CopyStridedU32Scalar(const uint32_t* base, size_t stride,
-                                 size_t offset, size_t n, uint32_t* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = base[i * stride + offset];
-}
-
-inline void SpreadToStrideScalar(const Value* col, size_t n, Value* out_base,
-                                 size_t out_stride) {
-  for (size_t i = 0; i < n; ++i) out_base[i * out_stride] = col[i];
-}
-
-// ---- 4x-unrolled flavor ----
-
-inline void GatherUnrolled(const Value* col, const uint32_t* ids, size_t n,
-                           Value* out) {
+/// out[i] = col[ids[i]]  (column gather by row id)
+inline void Gather(const Value* col, const uint32_t* ids, size_t n,
+                   Value* out) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const Value v0 = col[ids[i + 0]];
@@ -145,9 +48,10 @@ inline void GatherUnrolled(const Value* col, const uint32_t* ids, size_t n,
   for (; i < n; ++i) out[i] = col[ids[i]];
 }
 
-inline void GatherToStrideUnrolled(const Value* col, const uint32_t* ids,
-                                   size_t n, Value* out_base,
-                                   size_t out_stride) {
+/// out_base[i * out_stride] = col[ids[i]]  (gather into a strided
+/// destination, e.g. one column of a row-major key scratch matrix)
+inline void GatherToStride(const Value* col, const uint32_t* ids, size_t n,
+                           Value* out_base, size_t out_stride) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const Value v0 = col[ids[i + 0]];
@@ -162,8 +66,9 @@ inline void GatherToStrideUnrolled(const Value* col, const uint32_t* ids,
   for (; i < n; ++i) out_base[i * out_stride] = col[ids[i]];
 }
 
-inline void GatherU32Unrolled(const uint32_t* col, const uint32_t* ids,
-                              size_t n, uint32_t* out) {
+/// out[i] = col[ids[i]]  (row-id indirection)
+inline void GatherU32(const uint32_t* col, const uint32_t* ids, size_t n,
+                      uint32_t* out) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const uint32_t v0 = col[ids[i + 0]];
@@ -178,9 +83,11 @@ inline void GatherU32Unrolled(const uint32_t* col, const uint32_t* ids,
   for (; i < n; ++i) out[i] = col[ids[i]];
 }
 
-inline void GatherU32StridedUnrolled(const uint32_t* base, size_t stride,
-                                     size_t offset, const uint32_t* ids,
-                                     size_t n, uint32_t* out) {
+/// out[i] = base[ids[i] * stride + offset]  (strided source gather, e.g. the
+/// pin_rows array laid out row-major by pin)
+inline void GatherU32Strided(const uint32_t* base, size_t stride,
+                             size_t offset, const uint32_t* ids, size_t n,
+                             uint32_t* out) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const uint32_t v0 = base[ids[i + 0] * stride + offset];
@@ -195,8 +102,10 @@ inline void GatherU32StridedUnrolled(const uint32_t* base, size_t stride,
   for (; i < n; ++i) out[i] = base[ids[i] * stride + offset];
 }
 
-inline void CopyStridedU32Unrolled(const uint32_t* base, size_t stride,
-                                   size_t offset, size_t n, uint32_t* out) {
+/// out[i] = base[i * stride + offset]  (strided sequential copy, e.g. one
+/// stage's column of the batch state matrix)
+inline void CopyStridedU32(const uint32_t* base, size_t stride, size_t offset,
+                           size_t n, uint32_t* out) {
   size_t i = 0;
   const uint32_t* p = base + offset;
   for (; i + 4 <= n; i += 4) {
@@ -212,8 +121,10 @@ inline void CopyStridedU32Unrolled(const uint32_t* base, size_t stride,
   for (; i < n; ++i) out[i] = p[i * stride];
 }
 
-inline void SpreadToStrideUnrolled(const Value* col, size_t n,
-                                   Value* out_base, size_t out_stride) {
+/// out_base[i * out_stride] = col[i]  (spread one dense column into a
+/// row-major scratch matrix; the column-strided key-build primitive)
+inline void SpreadToStride(const Value* col, size_t n, Value* out_base,
+                           size_t out_stride) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     out_base[(i + 0) * out_stride] = col[i + 0];
@@ -224,21 +135,10 @@ inline void SpreadToStrideUnrolled(const Value* col, size_t n,
   for (; i < n; ++i) out_base[i * out_stride] = col[i];
 }
 
+/// out[i] = a[i] ⊗ b[i]  (e.g. member_val = w ⊗ π1)
 template <SelectiveDioid D>
-void CombineScalar(const typename D::Value* a, const typename D::Value* b,
-                   size_t n, typename D::Value* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = D::Combine(a[i], b[i]);
-}
-
-template <SelectiveDioid D>
-void CombineGatherScalar(const typename D::Value* vals, const uint32_t* ids,
-                         size_t n, typename D::Value* acc) {
-  for (size_t i = 0; i < n; ++i) acc[i] = D::Combine(acc[i], vals[ids[i]]);
-}
-
-template <SelectiveDioid D>
-void CombineUnrolled(const typename D::Value* a, const typename D::Value* b,
-                     size_t n, typename D::Value* out) {
+void Combine(const typename D::Value* a, const typename D::Value* b, size_t n,
+             typename D::Value* out) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     out[i + 0] = D::Combine(a[i + 0], b[i + 0]);
@@ -247,53 +147,6 @@ void CombineUnrolled(const typename D::Value* a, const typename D::Value* b,
     out[i + 3] = D::Combine(a[i + 3], b[i + 3]);
   }
   for (; i < n; ++i) out[i] = D::Combine(a[i], b[i]);
-}
-
-template <SelectiveDioid D>
-void CombineGatherUnrolled(const typename D::Value* vals, const uint32_t* ids,
-                           size_t n, typename D::Value* acc) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc[i + 0] = D::Combine(acc[i + 0], vals[ids[i + 0]]);
-    acc[i + 1] = D::Combine(acc[i + 1], vals[ids[i + 1]]);
-    acc[i + 2] = D::Combine(acc[i + 2], vals[ids[i + 2]]);
-    acc[i + 3] = D::Combine(acc[i + 3], vals[ids[i + 3]]);
-  }
-  for (; i < n; ++i) acc[i] = D::Combine(acc[i], vals[ids[i]]);
-}
-
-}  // namespace kernel_impl
-
-/// The build's preferred flavor: kUnrolled, unless the ANYK_KERNELS
-/// environment variable says "scalar" (an escape hatch for debugging and
-/// for A/B runs without recompiling; bench_ttf sets it per series).
-KernelKind DefaultKernelKind();
-
-/// Resolve kAuto to the default; identity otherwise.
-KernelKind ResolveKernelKind(KernelKind kind);
-
-/// Parse "scalar" / "unrolled" / "auto"; returns false (leaving *out
-/// untouched) on anything else.
-bool ParseKernelKind(std::string_view name, KernelKind* out);
-
-const char* KernelKindName(KernelKind kind);
-
-/// The registry row for `kind` (kAuto resolves through DefaultKernelKind).
-/// The returned reference has static storage duration — prepare-time code
-/// keeps the pointer for the query's lifetime.
-const GatherKernels& GetGatherKernels(KernelKind kind);
-
-/// Dioid-kernel registry row for `kind`; same lifetime contract. One static
-/// table per dioid instantiation.
-template <SelectiveDioid D>
-const DioidKernels<D>& GetDioidKernels(KernelKind kind) {
-  static const DioidKernels<D> kTable[2] = {
-      {"scalar", &kernel_impl::CombineScalar<D>,
-       &kernel_impl::CombineGatherScalar<D>},
-      {"unrolled", &kernel_impl::CombineUnrolled<D>,
-       &kernel_impl::CombineGatherUnrolled<D>},
-  };
-  return kTable[static_cast<size_t>(ResolveKernelKind(kind))];
 }
 
 }  // namespace anyk

@@ -442,10 +442,16 @@ TEST(CliTest, UnknownRelationInQueryExitsOne) {
 }
 
 TEST(CliTest, UnknownFlagExitsTwo) {
-  CliRun run = RunCli("--definitely-not-a-flag");
-  EXPECT_EQ(run.exit_code, 2);
-  EXPECT_NE(run.output.find("unknown flag"), std::string::npos);
-  EXPECT_NE(run.output.find("--help"), std::string::npos);
+  // The bind kernels have one implementation, so no flag picks one.
+  for (const std::string& args :
+       {std::string("--definitely-not-a-flag"),
+        TwoRelationArgs() + " --kernels scalar --query \"SELECT * FROM R\""}) {
+    SCOPED_TRACE(args);
+    CliRun run = RunCli(args);
+    EXPECT_EQ(run.exit_code, 2);
+    EXPECT_NE(run.output.find("unknown flag"), std::string::npos);
+    EXPECT_NE(run.output.find("--help"), std::string::npos);
+  }
 }
 
 TEST(CliTest, MissingQueryExitsTwo) {

@@ -15,9 +15,6 @@
 // same discipline differential_test applies for the non-cancellative
 // dioids, here used uniformly because the reference join has no tie-break
 // machinery. Within distinct weights the match is byte-for-byte.
-//
-// A second suite pins kernel-flavor equivalence end to end: the same drains
-// under KernelKind::kScalar and kUnrolled must be byte-identical.
 
 #include <algorithm>
 #include <cstddef>
@@ -171,11 +168,9 @@ std::vector<Answer> RowMajorReference(const Database& db,
 template <typename B>
 std::vector<Answer> DrainColumnar(const Database& db,
                                   const ConjunctiveQuery& q, Algorithm algo,
-                                  size_t cap,
-                                  KernelKind kernels = KernelKind::kAuto) {
+                                  size_t cap) {
   typename RankedQuery<B>::Options opts;
   opts.algorithm = algo;
-  opts.enum_opts.kernels = kernels;
   RankedQuery<B> rq(db, q, opts);
   std::vector<Answer> out;
   // Drain through NextBatch with an awkward batch size so the kernelized
@@ -257,30 +252,6 @@ INSTANTIATE_TEST_SUITE_P(Blocks, ColumnarDifferentialTest,
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "block" + std::to_string(info.param);
                          });
-
-// ---------------------------------------------------------------------------
-// Kernel-flavor equivalence end to end: scalar and unrolled drains must be
-// byte-identical (no canonicalization — identical machines, identical
-// tie resolution).
-// ---------------------------------------------------------------------------
-
-TEST(KernelFlavorTest, ScalarAndUnrolledDrainsAreByteIdentical) {
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    const GeneratedCase c = MakeCase(seed);
-    SCOPED_TRACE("seed=" + std::to_string(seed) + " " + c.label);
-    for (Algorithm algo : {Algorithm::kLazy, Algorithm::kBatch}) {
-      const auto scalar = DrainColumnar<TropicalDioid>(
-          c.db, c.q, algo, kCap, KernelKind::kScalar);
-      const auto unrolled = DrainColumnar<TropicalDioid>(
-          c.db, c.q, algo, kCap, KernelKind::kUnrolled);
-      ASSERT_EQ(scalar.size(), unrolled.size()) << AlgorithmName(algo);
-      for (size_t i = 0; i < scalar.size(); ++i) {
-        ASSERT_EQ(scalar[i], unrolled[i])
-            << AlgorithmName(algo) << ": rank " << i;
-      }
-    }
-  }
-}
 
 // The RowMajorTable snapshot itself round-trips the columnar data exactly.
 TEST(RowReferenceTest, SnapshotMatchesRelation) {

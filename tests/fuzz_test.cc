@@ -422,16 +422,15 @@ TEST(BoundedHeapFuzzTest, BudgetedDrainsMatchUnboundedOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Bind-kernel fuzz: both registered flavors (scalar, 4x-unrolled) of every
-// gather primitive in storage/kernels.h against naive reference loops, over
-// adversarial column data — skewed/hot ids, all-equal values, values crafted
-// to collide after the hash mix (kCollision), lengths straddling every
-// unroll remainder (n % 4 ∈ {0,1,2,3}), and empty inputs.
+// Bind-kernel fuzz: every primitive in storage/kernels.h against naive
+// reference loops, over adversarial column data — skewed/hot ids, all-equal
+// values, values crafted to collide after the hash mix (kCollision), lengths
+// straddling every unroll remainder (n % 4 ∈ {0,1,2,3}), and empty inputs.
 // ---------------------------------------------------------------------------
 
 class KernelFuzzTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(KernelFuzzTest, BothFlavorsMatchNaiveLoops) {
+TEST_P(KernelFuzzTest, MatchesNaiveLoops) {
   const int variant = GetParam();
   Rng rng(31000 + variant);
   const KeyDist dist = static_cast<KeyDist>(variant % 5);
@@ -450,6 +449,8 @@ TEST_P(KernelFuzzTest, BothFlavorsMatchNaiveLoops) {
   }
 
   for (const size_t n : lens) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " dist=" +
+                 std::to_string(variant));
     std::vector<uint32_t> ids(n);
     for (auto& id : ids) {
       id = static_cast<uint32_t>(
@@ -460,125 +461,86 @@ TEST_P(KernelFuzzTest, BothFlavorsMatchNaiveLoops) {
     std::vector<uint32_t> strided(std::max<size_t>(n * stride, 1));
     for (auto& v : strided) v = static_cast<uint32_t>(rng.Below(col_rows));
 
-    for (const KernelKind kind : {KernelKind::kScalar, KernelKind::kUnrolled}) {
-      SCOPED_TRACE(std::string("kind=") + KernelKindName(kind) + " n=" +
-                   std::to_string(n) + " dist=" + std::to_string(variant));
-      const GatherKernels& kx = GetGatherKernels(kind);
+    std::vector<Value> got(n + 1, -777), want(n + 1, -777);
+    Gather(col.data(), ids.data(), n, got.data());
+    for (size_t i = 0; i < n; ++i) want[i] = col[ids[i]];
+    ASSERT_EQ(got, want) << "Gather";
 
-      std::vector<Value> got(n + 1, -777), want(n + 1, -777);
-      kx.gather(col.data(), ids.data(), n, got.data());
-      for (size_t i = 0; i < n; ++i) want[i] = col[ids[i]];
-      ASSERT_EQ(got, want) << "gather";
+    std::vector<Value> got_s(std::max<size_t>(n * stride, 1), -777);
+    std::vector<Value> want_s(got_s);
+    GatherToStride(col.data(), ids.data(), n, got_s.data(), stride);
+    for (size_t i = 0; i < n; ++i) want_s[i * stride] = col[ids[i]];
+    ASSERT_EQ(got_s, want_s) << "GatherToStride stride=" << stride;
 
-      std::vector<Value> got_s(std::max<size_t>(n * stride, 1), -777);
-      std::vector<Value> want_s(got_s);
-      kx.gather_to_stride(col.data(), ids.data(), n, got_s.data(), stride);
-      for (size_t i = 0; i < n; ++i) want_s[i * stride] = col[ids[i]];
-      ASSERT_EQ(got_s, want_s) << "gather_to_stride stride=" << stride;
+    std::vector<uint32_t> got_u(n + 1, 0xdead), want_u(n + 1, 0xdead);
+    GatherU32(u32col.data(), ids.data(), n, got_u.data());
+    for (size_t i = 0; i < n; ++i) want_u[i] = u32col[ids[i]];
+    ASSERT_EQ(got_u, want_u) << "GatherU32";
 
-      std::vector<uint32_t> got_u(n + 1, 0xdead), want_u(n + 1, 0xdead);
-      kx.gather_u32(u32col.data(), ids.data(), n, got_u.data());
-      for (size_t i = 0; i < n; ++i) want_u[i] = u32col[ids[i]];
-      ASSERT_EQ(got_u, want_u) << "gather_u32";
-
-      // gather_u32_strided reads base[id*stride + offset]; ids must stay in
-      // range of the strided buffer.
-      std::vector<uint32_t> sids(n);
-      const size_t srows = strided.size() / stride;
-      for (auto& id : sids) {
-        id = static_cast<uint32_t>(srows != 0 ? rng.Below(srows) : 0);
-      }
-      if (srows != 0) {
-        kx.gather_u32_strided(strided.data(), stride, offset, sids.data(), n,
-                              got_u.data());
-        for (size_t i = 0; i < n; ++i) {
-          want_u[i] = strided[sids[i] * stride + offset];
-        }
-        ASSERT_EQ(got_u, want_u) << "gather_u32_strided";
-
-        const size_t cn = std::min(n, srows);
-        kx.copy_strided_u32(strided.data(), stride, offset, cn, got_u.data());
-        for (size_t i = 0; i < cn; ++i) {
-          want_u[i] = strided[i * stride + offset];
-        }
-        ASSERT_EQ(std::vector<uint32_t>(got_u.begin(), got_u.begin() + cn),
-                  std::vector<uint32_t>(want_u.begin(), want_u.begin() + cn))
-            << "copy_strided_u32";
-      }
-
-      const size_t sn = std::min(n, col_rows);
-      std::fill(got_s.begin(), got_s.end(), -777);
-      std::fill(want_s.begin(), want_s.end(), -777);
-      kx.spread_to_stride(col.data(), sn, got_s.data(), stride);
-      for (size_t i = 0; i < sn; ++i) want_s[i * stride] = col[i];
-      ASSERT_EQ(got_s, want_s) << "spread_to_stride";
+    // GatherU32Strided reads base[id*stride + offset]; ids must stay in
+    // range of the strided buffer.
+    std::vector<uint32_t> sids(n);
+    const size_t srows = strided.size() / stride;
+    for (auto& id : sids) {
+      id = static_cast<uint32_t>(srows != 0 ? rng.Below(srows) : 0);
     }
+    if (srows != 0) {
+      GatherU32Strided(strided.data(), stride, offset, sids.data(), n,
+                       got_u.data());
+      for (size_t i = 0; i < n; ++i) {
+        want_u[i] = strided[sids[i] * stride + offset];
+      }
+      ASSERT_EQ(got_u, want_u) << "GatherU32Strided";
+
+      const size_t cn = std::min(n, srows);
+      CopyStridedU32(strided.data(), stride, offset, cn, got_u.data());
+      for (size_t i = 0; i < cn; ++i) {
+        want_u[i] = strided[i * stride + offset];
+      }
+      ASSERT_EQ(std::vector<uint32_t>(got_u.begin(), got_u.begin() + cn),
+                std::vector<uint32_t>(want_u.begin(), want_u.begin() + cn))
+          << "CopyStridedU32";
+    }
+
+    const size_t sn = std::min(n, col_rows);
+    std::fill(got_s.begin(), got_s.end(), -777);
+    std::fill(want_s.begin(), want_s.end(), -777);
+    SpreadToStride(col.data(), sn, got_s.data(), stride);
+    for (size_t i = 0; i < sn; ++i) want_s[i * stride] = col[i];
+    ASSERT_EQ(got_s, want_s) << "SpreadToStride";
   }
 }
 
-TEST_P(KernelFuzzTest, DioidCombineFlavorsMatchDirectEvaluation) {
+TEST_P(KernelFuzzTest, CombineMatchesDirectEvaluation) {
   const int variant = GetParam();
   Rng rng(32000 + variant);
   for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4},
                          size_t{17}, size_t{100 + rng.Below(60)}}) {
-    std::vector<double> a(n), b(n), vals(std::max<size_t>(n, 1) + 40);
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<double> a(n), b(n);
     for (auto& x : a) x = static_cast<double>(rng.Uniform(-50, 50));
     // Heavy ties under odd variants: all-equal b column.
     for (auto& x : b) {
       x = variant % 2 ? 7.0 : static_cast<double>(rng.Uniform(-50, 50));
     }
-    for (auto& x : vals) x = static_cast<double>(rng.Uniform(-50, 50));
-    std::vector<uint32_t> ids(n);
-    for (auto& id : ids) id = static_cast<uint32_t>(rng.Below(vals.size()));
 
-    for (const KernelKind kind : {KernelKind::kScalar, KernelKind::kUnrolled}) {
-      SCOPED_TRACE(std::string("kind=") + KernelKindName(kind) + " n=" +
-                   std::to_string(n));
-      const auto& dk = GetDioidKernels<TropicalDioid>(kind);
-      std::vector<double> got(n + 1, -1e9), want(n + 1, -1e9);
-      dk.combine(a.data(), b.data(), n, got.data());
-      for (size_t i = 0; i < n; ++i) {
-        want[i] = TropicalDioid::Combine(a[i], b[i]);
-      }
-      ASSERT_EQ(got, want) << "combine";
-
-      std::vector<double> acc = a, want_acc = a;
-      dk.combine_gather(vals.data(), ids.data(), n, acc.data());
-      for (size_t i = 0; i < n; ++i) {
-        want_acc[i] = TropicalDioid::Combine(want_acc[i], vals[ids[i]]);
-      }
-      ASSERT_EQ(acc, want_acc) << "combine_gather";
-
-      const auto& mk = GetDioidKernels<MinMaxDioid>(kind);
-      mk.combine(a.data(), b.data(), n, got.data());
-      for (size_t i = 0; i < n; ++i) {
-        want[i] = MinMaxDioid::Combine(a[i], b[i]);
-      }
-      ASSERT_EQ(got, want) << "min-max combine";
+    std::vector<double> got(n + 1, -1e9), want(n + 1, -1e9);
+    Combine<TropicalDioid>(a.data(), b.data(), n, got.data());
+    for (size_t i = 0; i < n; ++i) {
+      want[i] = TropicalDioid::Combine(a[i], b[i]);
     }
+    ASSERT_EQ(got, want) << "tropical Combine";
+
+    Combine<MinMaxDioid>(a.data(), b.data(), n, got.data());
+    for (size_t i = 0; i < n; ++i) {
+      want[i] = MinMaxDioid::Combine(a[i], b[i]);
+    }
+    ASSERT_EQ(got, want) << "min-max Combine";
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AdversarialColumns, KernelFuzzTest,
                          ::testing::Range(0, 15));
-
-TEST(KernelRegistryTest, ParseAndResolve) {
-  KernelKind k = KernelKind::kAuto;
-  EXPECT_TRUE(ParseKernelKind("scalar", &k));
-  EXPECT_EQ(k, KernelKind::kScalar);
-  EXPECT_TRUE(ParseKernelKind("unrolled", &k));
-  EXPECT_EQ(k, KernelKind::kUnrolled);
-  EXPECT_TRUE(ParseKernelKind("auto", &k));
-  EXPECT_EQ(k, KernelKind::kAuto);
-  EXPECT_FALSE(ParseKernelKind("simd9000", &k));
-  // kAuto resolves to a concrete flavor; concrete kinds resolve to
-  // themselves.
-  EXPECT_NE(ResolveKernelKind(KernelKind::kAuto), KernelKind::kAuto);
-  EXPECT_EQ(ResolveKernelKind(KernelKind::kScalar), KernelKind::kScalar);
-  EXPECT_EQ(ResolveKernelKind(KernelKind::kUnrolled), KernelKind::kUnrolled);
-  EXPECT_STREQ(GetGatherKernels(KernelKind::kScalar).name, "scalar");
-  EXPECT_STREQ(GetGatherKernels(KernelKind::kUnrolled).name, "unrolled");
-}
 
 std::string FuzzName(const ::testing::TestParamInfo<FuzzCase>& info) {
   return "s" + std::to_string(info.param.seed) + "_a" +

@@ -236,19 +236,16 @@ TEST(ZeroArityTest, ColumnViewsAreWellDefinedForDegenerateShapes) {
   // The bind kernels must accept n=0 over these (possibly null) column
   // pointers without touching memory — this is exactly what a dead-ended
   // stage hands them.
-  for (const KernelKind kind : {KernelKind::kScalar, KernelKind::kUnrolled}) {
-    const GatherKernels& kx = GetGatherKernels(kind);
-    Value out = -1;
-    uint32_t uout = 7;
-    kx.gather(empty.ColumnData(0), nullptr, 0, &out);
-    kx.gather_to_stride(empty.ColumnData(0), nullptr, 0, &out, 3);
-    kx.gather_u32(nullptr, nullptr, 0, &uout);
-    kx.gather_u32_strided(nullptr, 2, 1, nullptr, 0, &uout);
-    kx.copy_strided_u32(nullptr, 2, 0, 0, &uout);
-    kx.spread_to_stride(empty.ColumnData(1), 0, &out, 2);
-    EXPECT_EQ(out, -1);
-    EXPECT_EQ(uout, 7u);
-  }
+  Value out = -1;
+  uint32_t uout = 7;
+  Gather(empty.ColumnData(0), nullptr, 0, &out);
+  GatherToStride(empty.ColumnData(0), nullptr, 0, &out, 3);
+  GatherU32(nullptr, nullptr, 0, &uout);
+  GatherU32Strided(nullptr, 2, 1, nullptr, 0, &uout);
+  CopyStridedU32(nullptr, 2, 0, 0, &uout);
+  SpreadToStride(empty.ColumnData(1), 0, &out, 2);
+  EXPECT_EQ(out, -1);
+  EXPECT_EQ(uout, 7u);
 }
 
 TEST(ZeroArityTest, ColumnChunkAppendOnDegenerateShapes) {
@@ -266,17 +263,15 @@ TEST(ZeroArityTest, ColumnChunkAppendOnDegenerateShapes) {
   EXPECT_TRUE(nullary.Row(1).empty());
 }
 
-TEST(ZeroArityTest, GroupIndexOverEmptyRelationBothKernelFlavors) {
-  // The column-strided GroupIndex build must be total on 0-row input for
-  // both kernel flavors (spread_to_stride over an empty column).
+TEST(ZeroArityTest, GroupIndexOverEmptyRelation) {
+  // The column-strided GroupIndex build must be total on 0-row input
+  // (SpreadToStride over an empty column).
   Relation empty("E", 2);
   const std::vector<uint32_t> key_cols = {0};
-  for (const KernelKind kind : {KernelKind::kScalar, KernelKind::kUnrolled}) {
-    GroupIndex idx(empty, key_cols, kind);
-    EXPECT_EQ(idx.NumGroups(), 0u);
-    EXPECT_EQ(idx.Find(Key{42}), -1);
-    EXPECT_TRUE(idx.Lookup(Key{42}).empty());
-  }
+  GroupIndex idx(empty, key_cols);
+  EXPECT_EQ(idx.NumGroups(), 0u);
+  EXPECT_EQ(idx.Find(Key{42}), -1);
+  EXPECT_TRUE(idx.Lookup(Key{42}).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Algos, RobustnessTest,

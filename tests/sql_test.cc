@@ -106,6 +106,89 @@ TEST(SqlParseTest, RejectsLimitAboveSizeMaxWithOffset) {
                "18446744073709551615, got '99999999999999999999'");
 }
 
+// Installs the throwing CHECK handler: a rejected statement must surface
+// as CheckError (the server's 400, the CLI's exit 1), never as an abort or
+// another exception.
+class SqlCheckErrorTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    prev_ = SetCheckFailureHandler(&ThrowingCheckHandler);
+  }
+  void TearDown() override { SetCheckFailureHandler(prev_); }
+
+ private:
+  internal::CheckFailureHandler prev_ = nullptr;
+};
+
+// The CheckError message `fn` throws; empty if it returns.
+template <typename Fn>
+std::string CheckErrorOf(Fn fn) {
+  try {
+    fn();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// NormalizeSql's CheckError message for `sql`, which ParseSql (without a
+// database) must match.
+std::string ColumnError(const std::string& sql) {
+  const std::string error = CheckErrorOf([&] { NormalizeSql(sql); });
+  EXPECT_EQ(CheckErrorOf([&] { ParseSql(sql); }), error) << sql;
+  return error;
+}
+
+TEST_F(SqlCheckErrorTest, ColumnNumbersAreDigitsOnly) {
+  // A suffix after the digits is part of the column token, not ignored: if
+  // it were, NormalizeSql would map `R1.A2x` onto R1.A2's cache key.
+  EXPECT_EQ(ColumnError("SELECT * FROM R1, R2 WHERE R1.A2x = R2.A1"),
+            "SQL:30: bad column 'A2x'; columns are addressed as A1..A4096");
+  EXPECT_EQ(ColumnError("SELECT * FROM R1, R2 WHERE R1.A2_7 = R2.A1"),
+            "SQL:30: bad column 'A2_7'; columns are addressed as A1..A4096");
+  EXPECT_EQ(ColumnError("SELECT R1.A0 FROM R1"),
+            "SQL:10: bad column 'A0'; columns are addressed as A1..A4096");
+  EXPECT_EQ(ColumnError("SELECT R1.A FROM R1"),
+            "SQL:10: bad column 'A'; columns are addressed as A1..A4096");
+  EXPECT_EQ(ColumnError("SELECT R1.B2 FROM R1"),
+            "SQL:10: bad column 'B2'; columns are addressed as A1..A4096");
+  // Leading zeros are digits; the canonical spelling drops them.
+  EXPECT_EQ(NormalizeSql("SELECT R1.a002 FROM R1"),
+            "SELECT R1.A2 FROM R1 ORDER BY WEIGHT ASC");
+  EXPECT_EQ(ParseSql("SELECT R1.A4096 FROM R1").query.AtomVarIds(0).size(),
+            4096u);
+}
+
+TEST_F(SqlCheckErrorTest, ColumnNumberOverflowIsRejectedWithOffset) {
+  // Saturating the number would rename the column (A9223372036854775807),
+  // and lowering it without a database would ask for that many slots.
+  const std::string sql =
+      "SELECT * FROM R1, R2 WHERE R1.A99999999999999999999 = R2.A1";
+  EXPECT_EQ(ColumnError(sql),
+            "SQL:30: bad column 'A99999999999999999999'; columns are "
+            "addressed as A1..A4096");
+  EXPECT_EQ(ColumnError("SELECT R1.A4097 FROM R1"),
+            "SQL:10: bad column 'A4097'; columns are addressed as A1..A4096");
+  EXPECT_EQ(ColumnError("SELECT R1.A18446744073709551615 FROM R1, R2"),
+            "SQL:10: bad column 'A18446744073709551615'; columns are "
+            "addressed as A1..A4096");
+}
+
+TEST_F(SqlCheckErrorTest, ColumnOutOfRangeForTheDatabaseCarriesOffset) {
+  Database db;
+  db.AddRelation("R1", 2);
+  db.AddRelation("R2", 3);
+  EXPECT_EQ(ParseSql("SELECT * FROM R1, R2 WHERE R1.A2 = R2.A3", &db)
+                .query.NumVars(),
+            4u);
+  EXPECT_EQ(CheckErrorOf([&] {
+              ParseSql("SELECT * FROM R1, R2 WHERE R1.A3 = R2.A1", &db);
+            }),
+            "SQL:30: column out of range for R1: A3 of 2");
+  EXPECT_EQ(CheckErrorOf([&] { ParseSql("SELECT R2.A4 FROM R1, R2", &db); }),
+            "SQL:10: column out of range for R2: A4 of 3");
+}
+
 TEST(SqlNormalizeTest, CanonicalizesSpellingVariants) {
   const std::string canonical = NormalizeSql(
       "SELECT * FROM R1, R2 WHERE R1.A2 = R2.A1 ORDER BY WEIGHT ASC");
@@ -254,15 +337,26 @@ const std::vector<std::string>& FuzzSeeds() {
   return seeds;
 }
 
+// A run of 1-25 decimal digits, sometimes zero-padded.
+std::string DigitRun(Rng* rng) {
+  std::string digits(rng->Below(4) == 0 ? rng->Below(4) + 1 : 0, '0');
+  const size_t n = 1 + rng->Below(25);
+  while (digits.size() < n) {
+    digits.push_back(static_cast<char>('0' + rng->Below(10)));
+  }
+  return digits;
+}
+
 // Applies one seeded mutation: a byte inserted, deleted or replaced; an
-// inserted LIMIT / ORDER / AND / ',' / ';'; a LIMIT with a run of 1-25
-// digits (leading zeros included) replacing the statement's LIMIT or
-// appended; a run of letters case-flipped; a whitespace run; truncation.
+// inserted LIMIT / ORDER / AND / ',' / ';'; a LIMIT with a digit run
+// replacing the statement's LIMIT or appended; a column number after `.A`
+// replaced by a digit run or given an alphanumeric suffix; a run of letters
+// case-flipped; a whitespace run; truncation.
 void MutateSql(Rng* rng, std::string* sql) {
   const size_t pos = rng->Below(sql->size() + 1);
   static const char* const kTokens[] = {" LIMIT ", "LIMIT", " ORDER ",
                                         " AND ", "AND", ",", ";"};
-  switch (rng->Below(9)) {
+  switch (rng->Below(10)) {
     case 0:
       sql->insert(pos, 1, static_cast<char>(rng->Below(256)));
       break;
@@ -276,12 +370,8 @@ void MutateSql(Rng* rng, std::string* sql) {
     case 4:
       sql->insert(pos, kTokens[rng->Below(std::size(kTokens))]);
       break;
-    case 5: {  // LIMIT <1-25 digits>, sometimes zero-padded
-      std::string digits(rng->Below(4) == 0 ? rng->Below(4) + 1 : 0, '0');
-      const size_t n = 1 + rng->Below(25);
-      while (digits.size() < n) {
-        digits.push_back(static_cast<char>('0' + rng->Below(10)));
-      }
+    case 5: {  // LIMIT <digit run>
+      const std::string digits = DigitRun(rng);
       const size_t at = sql->rfind(" LIMIT ");
       if (at != std::string::npos && rng->Bernoulli(0.7)) {
         size_t end = at + 7;
@@ -307,6 +397,23 @@ void MutateSql(Rng* rng, std::string* sql) {
       static const char kSpace[] = {' ', '\t', '\n', '\r', '\f', '\v'};
       for (size_t n = 1 + rng->Below(5); n > 0; --n) {
         sql->insert(pos, 1, kSpace[rng->Below(sizeof(kSpace))]);
+      }
+      break;
+    }
+    case 8: {  // .A<digit run>, or .A<n><suffix>
+      size_t at = sql->find(".A", pos);
+      if (at == std::string::npos) at = sql->find(".A");
+      if (at == std::string::npos) break;
+      size_t end = at + 2;
+      while (end < sql->size() &&
+             std::isdigit(static_cast<unsigned char>((*sql)[end]))) {
+        ++end;
+      }
+      static const char* const kSuffixes[] = {"x", "_7", "2x", "_", "A1", "0"};
+      if (rng->Bernoulli(0.5)) {
+        sql->replace(at + 2, end - at - 2, DigitRun(rng));
+      } else {
+        sql->insert(end, kSuffixes[rng->Below(std::size(kSuffixes))]);
       }
       break;
     }
@@ -360,18 +467,7 @@ auto CheckedOrNullopt(const std::string& sql, Fn fn)
   }
 }
 
-// Installs the throwing CHECK handler: a rejected statement must surface
-// as CheckError (the server's 400, the CLI's exit 1), never as an abort.
-class SqlFuzzTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    prev_ = SetCheckFailureHandler(&ThrowingCheckHandler);
-  }
-  void TearDown() override { SetCheckFailureHandler(prev_); }
-
- private:
-  internal::CheckFailureHandler prev_ = nullptr;
-};
+class SqlFuzzTest : public SqlCheckErrorTest {};
 
 TEST_F(SqlFuzzTest, MutatedStatementsParseOrFailWithCheckError) {
   Rng rng(20260419);
