@@ -1,25 +1,29 @@
-// Ablation (google-benchmark): design choices called out in DESIGN.md.
+// Ablation (google-benchmark): design choices of the any-k enumerators.
 // Deliberately outside the Reporter/BENCH_*.json pipeline (harness.h): this
 // target is statistical micro-benchmarking, and google-benchmark already
 // emits machine-readable output via --benchmark_format=json.
-//  * Candidate priority queue: binary heap vs pairing heap. The ANYK-PART
-//    analysis assumes O(1) inserts (pairing heap); the paper observes that
-//    such structures often lose to binary heaps in practice — we measure it.
-//  * Raw heap op throughput for the two structures.
+//  * Candidate priority queue arity: the BoundedHeap arities 2, 4 and 8 the
+//    planner chooses between (EnumOptions::heap_arity), on a Take2 request
+//    for k answers under EnumOptions::k_budget = k, as a LIMIT k query runs.
+//    The k points sit on both sides of the planner's thresholds (arity 2 at
+//    k <= 64, 8 at k >= 65536, 4 between; plan/cost_model.h).
+//  * Raw push-then-drain throughput of DAryHeap at the same arities.
 //  * Strategy choice at fixed k (Take2 vs Lazy vs Eager vs All).
 
 #include <benchmark/benchmark.h>
 #include <cstddef>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "anyk/anyk_part.h"
+#include "anyk/enumerator.h"
 #include "anyk/strategies.h"
 #include "dioid/tropical.h"
 #include "dp/stage_graph.h"
 #include "query/cq.h"
 #include "query/join_tree.h"
-#include "util/binary_heap.h"
-#include "util/pairing_heap.h"
+#include "util/dary_heap.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -48,23 +52,26 @@ template <template <class, class, class> class PQ>
 void BM_AnyKPartCandPQ(benchmark::State& state) {
   auto& s = Instance();
   const size_t k = static_cast<size_t>(state.range(0));
+  EnumOptions eo;
+  eo.k_budget = k;
   for (auto _ : state) {
-    AnyKPartEnumerator<TropicalDioid, Take2Strategy, PQ> e(&s.g);
+    AnyKPartEnumerator<TropicalDioid, Take2Strategy, PQ> e(&s.g, eo);
     size_t produced = 0;
-    while (produced < k && e.Next()) ++produced;
+    while (e.Next()) ++produced;
     benchmark::DoNotOptimize(produced);
   }
   state.SetItemsProcessed(state.iterations() * k);
 }
 
-void BM_Take2BinaryHeapPQ(benchmark::State& state) {
-  BM_AnyKPartCandPQ<BinaryHeap>(state);
+void ArityThresholdArgs(benchmark::internal::Benchmark* b) {
+  for (int k : {1, 10, 64, 1000, 10000, 65536, 262144}) b->Arg(k);
 }
-void BM_Take2PairingHeapPQ(benchmark::State& state) {
-  BM_AnyKPartCandPQ<PairingHeap>(state);
-}
-BENCHMARK(BM_Take2BinaryHeapPQ)->Arg(1000)->Arg(10000)->Arg(50000);
-BENCHMARK(BM_Take2PairingHeapPQ)->Arg(1000)->Arg(10000)->Arg(50000);
+BENCHMARK_TEMPLATE(BM_AnyKPartCandPQ, BoundedBinaryHeap)
+    ->Apply(ArityThresholdArgs);
+BENCHMARK_TEMPLATE(BM_AnyKPartCandPQ, BoundedQuadHeap)
+    ->Apply(ArityThresholdArgs);
+BENCHMARK_TEMPLATE(BM_AnyKPartCandPQ, BoundedOctHeap)
+    ->Apply(ArityThresholdArgs);
 
 template <template <class> class Strategy>
 void BM_Strategy(benchmark::State& state) {
@@ -135,12 +142,13 @@ void BM_Take2MonoidFallback(benchmark::State& state) {
 BENCHMARK(BM_Take2GroupInverse)->Arg(20000);
 BENCHMARK(BM_Take2MonoidFallback)->Arg(20000);
 
-void BM_BinaryHeapOps(benchmark::State& state) {
+template <size_t Arity>
+void BM_HeapOps(benchmark::State& state) {
   Rng rng(1);
   std::vector<double> vals(1 << 16);
   for (auto& v : vals) v = static_cast<double>(rng.Uniform(0, 1 << 20));
   for (auto _ : state) {
-    BinaryHeap<double> h;
+    DAryHeap<double, std::less<double>, std::allocator<double>, Arity> h;
     for (double v : vals) h.Push(v);
     double sink = 0;
     while (!h.Empty()) sink += h.PopMin();
@@ -148,22 +156,9 @@ void BM_BinaryHeapOps(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * vals.size());
 }
-BENCHMARK(BM_BinaryHeapOps);
-
-void BM_PairingHeapOps(benchmark::State& state) {
-  Rng rng(1);
-  std::vector<double> vals(1 << 16);
-  for (auto& v : vals) v = static_cast<double>(rng.Uniform(0, 1 << 20));
-  for (auto _ : state) {
-    PairingHeap<double> h;
-    for (double v : vals) h.Push(v);
-    double sink = 0;
-    while (!h.Empty()) sink += h.PopMin();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * vals.size());
-}
-BENCHMARK(BM_PairingHeapOps);
+BENCHMARK_TEMPLATE(BM_HeapOps, 2);
+BENCHMARK_TEMPLATE(BM_HeapOps, 4);
+BENCHMARK_TEMPLATE(BM_HeapOps, 8);
 
 }  // namespace
 

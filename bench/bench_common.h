@@ -34,6 +34,9 @@ class OwningEnumerator : public Enumerator<D> {
   bool NextInto(ResultRow<D>* row) override {
     return rq_.enumerator()->NextInto(row);
   }
+  size_t NextBatch(ResultRow<D>* rows, size_t n) override {
+    return rq_.enumerator()->NextBatch(rows, n);
+  }
 
  private:
   RankedQuery<D> rq_;

@@ -30,7 +30,7 @@
 #include "anyk/union_anyk.h"
 #include "bench_common.h"
 #include "query/cq.h"
-#include "util/binary_heap.h"
+#include "util/dary_heap.h"
 #include "util/timer.h"
 #include "workload/generators.h"
 
@@ -112,7 +112,7 @@ class SeedLazyStrategy {
                       g->stages[stage].member_val[b]);
     }
   };
-  using ConnHeap = BinaryHeap<uint32_t, Cmp, ArenaAllocator<uint32_t>>;
+  using ConnHeap = DAryHeap<uint32_t, Cmp, ArenaAllocator<uint32_t>, 2>;
 
   struct ConnData {
     bool init = false;
@@ -129,7 +129,7 @@ class SeedLazyStrategy {
     all.resize(st.ConnSize(conn));
     for (uint32_t i = 0; i < all.size(); ++i) all[i] = st.conn_begin[conn] + i;
     cd.heap = ConnHeap(Cmp{g_, stage}, ArenaAllocator<uint32_t>(arena_));
-    cd.heap.Assign(std::move(all));
+    cd.heap.BuildFrom(std::move(all));
     cd.sorted = MakeArenaVector<uint32_t>(arena_);
     cd.sorted.push_back(cd.heap.PopMin());
     if (!cd.heap.Empty()) cd.sorted.push_back(cd.heap.PopMin());
@@ -143,7 +143,10 @@ class SeedLazyStrategy {
   StrategyStats stats_;
 };
 
-using SeedEnumerator = AnyKPartEnumerator<D, SeedLazyStrategy, BinaryHeap>;
+// Binary-heap candidate queue; never budgeted, because OpenSeedSession
+// leaves EnumOptions::k_budget at 0.
+using SeedEnumerator =
+    AnyKPartEnumerator<D, SeedLazyStrategy, BoundedBinaryHeap>;
 
 /// One pre-PR-configuration request: binary-heap candidate queues,
 /// unbounded enumerators, NextInto drain. Cycle-union plans replicate the

@@ -40,6 +40,10 @@ Rules (see docs/STATIC_ANALYSIS.md for the rationale of each):
   env-knob             No getenv/secure_getenv in src/ and cli/:
                        configuration is a flag that --help lists, never an
                        environment variable that silently changes a run.
+  one-heap             One priority queue, src/util/dary_heap.h: in src/ and
+                       cli/ no other class or struct whose name ends in
+                       `Heap`, and no std::priority_queue or
+                       make_heap/push_heap/pop_heap/sort_heap.
   iostream-header      No `#include <iostream>` in library headers — it
                        injects a static iostream initializer into every TU.
   raw-mutex            `std::mutex` / `std::condition_variable` / std lock
@@ -83,6 +87,7 @@ HOT_PATH_DIRS = ("src/anyk/", "src/dp/",
                  "src/storage/shard_hash.h", "src/storage/sharded_database.h")
 UNORDERED_MAP_ALLOWED_DIRS = ("src/query/", "src/join/", "src/workload/")
 SYNC_HEADER = "src/util/sync.h"
+ONE_HEAP_HEADER = "src/util/dary_heap.h"
 
 _HEAP_NEW = re.compile(r"\bnew\b(?!\s*\()")  # `new (addr) T` = placement, ok
 _HEAP_MAKE = re.compile(r"\bstd::make_(?:unique|shared)\s*<")
@@ -104,6 +109,10 @@ _THROWING_PARSE = re.compile(r"\b(?:std::)?sto(?:i|l|ll|ul|ull)\s*\(")
 _LENIENT_PARSE = re.compile(
     r"\b(?:std::)?(?:strto(?:l|ll|ul|ull)|ato(?:i|l|ll))\s*\(")
 _ENV_KNOB = re.compile(r"\b(?:std::)?(?:secure_)?getenv\s*\(")
+# A class/struct named *Heap, but not a template parameter (`class Heap>`).
+_HEAP_CLASS = re.compile(r"\b(?:class|struct)\s+\w*Heap\b(?!\s*[,>=])")
+_STD_HEAP = re.compile(
+    r"\bstd::priority_queue\b|\b(?:make|push|pop|sort)_heap\b")
 _IOSTREAM = re.compile(r'#\s*include\s*<iostream>')
 _RAW_MUTEX = re.compile(
     r"\bstd::(?:mutex|timed_mutex|recursive_mutex|shared_mutex|"
@@ -291,6 +300,28 @@ class EnvKnob(Rule):
         return None
 
 
+class OneHeap(Rule):
+    def __init__(self) -> None:
+        super().__init__(
+            "one-heap",
+            "one priority queue (src/util/dary_heap.h): no other class or "
+            "struct named *Heap and no std::priority_queue / std heap "
+            "algorithms in src/ and cli/",
+        )
+
+    def applies_to(self, relpath: str) -> bool:
+        return relpath.startswith(("src/", "cli/"))
+
+    def check_line(self, relpath: str, code: str) -> str | None:
+        if relpath != ONE_HEAP_HEADER and _HEAP_CLASS.search(code):
+            return ("a second heap class; use DAryHeap / BoundedHeap "
+                    "(src/util/dary_heap.h) at the arity you need")
+        if _STD_HEAP.search(code):
+            return ("std::priority_queue / std heap algorithms duplicate "
+                    "DAryHeap; use it (src/util/dary_heap.h)")
+        return None
+
+
 class IostreamHeader(Rule):
     def __init__(self) -> None:
         super().__init__(
@@ -335,6 +366,7 @@ RULES: list[Rule] = [
     ThrowingParse(),
     LenientParse(),
     EnvKnob(),
+    OneHeap(),
     IostreamHeader(),
     RawMutex(),
 ]
@@ -628,6 +660,32 @@ SELF_TEST_CASES = [
      {"env-knob"}),
     ("getenv in a comment does not fire",
      "src/util/ok.h", "// no std::getenv here: flags only\nint x;\n", set()),
+    ("a second heap class",
+     "src/util/bad.h", "template <typename T>\nclass BinaryHeap {\n};\n",
+     {"one-heap"}),
+    ("a heap struct in cli",
+     "cli/bad.cc", "struct MergeHeap {\n  int top;\n};\n", {"one-heap"}),
+    ("std::priority_queue",
+     "src/server/bad.cc", "std::priority_queue<int> pq;\n", {"one-heap"}),
+    ("std heap algorithms",
+     "src/join/bad.cc",
+     "std::make_heap(v.begin(), v.end());\npop_heap(v.begin(), v.end());\n",
+     {"one-heap"}),
+    ("dary_heap.h defines the heaps",
+     "src/util/dary_heap.h",
+     "class DAryHeap {\n};\nclass BoundedHeap {\n};\n", set()),
+    ("BoundedHeapStats is not a heap",
+     "src/util/ok.h", "struct BoundedHeapStats {\n  size_t max_size;\n};\n",
+     set()),
+    ("a DAryHeap alias is not a second heap",
+     "src/anyk/ok.h",
+     "using ConnHeap = DAryHeap<uint32_t, Cmp, ArenaAllocator<uint32_t>, 2>;\n",
+     set()),
+    ("a template parameter named Heap is not a class",
+     "src/anyk/ok.h", "template <class Heap>\nvoid Drain(Heap* h);\n", set()),
+    ("tests may keep a std::priority_queue oracle",
+     "tests/ok.cc",
+     "std::priority_queue<int> oracle;\nstruct FakeHeap {};\n", set()),
     ("iostream in a library header",
      "src/util/bad.h", "#include <iostream>\n", {"iostream-header"}),
     ("iostream in a .cc is fine",

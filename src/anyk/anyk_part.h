@@ -43,7 +43,6 @@
 #include "anyk/strategies.h"
 #include "dp/stage_graph.h"
 #include "util/arena.h"
-#include "util/binary_heap.h"
 #include "util/dary_heap.h"
 #include "util/logging.h"
 
@@ -56,12 +55,10 @@ struct AnyKPartStats {
   size_t prefix_nodes = 0;
 };
 
-/// Algorithm 1, parameterized by successor strategy and candidate PQ (any
-/// heap template over (entry, comparator, allocator)). The default PQ is the
-/// budget-aware BoundedQuadHeap: without EnumOptions::k_budget it is a plain
-/// flat 4-ary heap; with a budget it keeps the candidate set O(k) (see
-/// util/dary_heap.h). Budget hooks are `if constexpr`-guarded, so plain
-/// BinaryHeap / PairingHeap instantiations (bench_ablation_pq) still work.
+/// Algorithm 1, parameterized by successor strategy and candidate PQ: one of
+/// the BoundedHeap arity aliases of util/dary_heap.h (MakeEnumerator picks
+/// it from EnumOptions::heap_arity). Without EnumOptions::k_budget the queue
+/// is a plain flat d-ary heap; with a budget it keeps the candidate set O(k).
 template <SelectiveDioid D, template <class> class Strategy,
           template <class, class, class> class PQT = BoundedQuadHeap>
 class AnyKPartEnumerator : public Enumerator<D> {
@@ -84,9 +81,7 @@ class AnyKPartEnumerator : public Enumerator<D> {
         batch_ids_(ArenaAllocator<uint32_t>(&arena_)),
         batch_vals_(ArenaAllocator<Value>(&arena_)) {
     arena_.Reserve(opts_.arena_reserve_bytes);
-    if constexpr (requires { cand_.SetBudget(size_t{0}); }) {
-      cand_.SetBudget(opts_.k_budget);
-    }
+    cand_.SetBudget(opts_.k_budget);
     const size_t L = g_->stages.size();
     states_.assign(L, 0);
     frontier_.reserve(L + 1);
@@ -145,15 +140,8 @@ class AnyKPartEnumerator : public Enumerator<D> {
 
   const AnyKPartStats& stats() const { return stats_; }
   const StrategyStats& strategy_stats() const { return strategy_.stats(); }
-  /// Candidate-heap budget counters (zeros when the PQ is not a
-  /// BoundedHeap, e.g. the bench_ablation_pq instantiations).
-  BoundedHeapStats bounded_heap_stats() const {
-    if constexpr (requires { cand_.stats(); }) {
-      return cand_.stats();
-    } else {
-      return BoundedHeapStats{};
-    }
-  }
+  /// Candidate-heap budget counters.
+  const BoundedHeapStats& bounded_heap_stats() const { return cand_.stats(); }
   size_t CandSize() const { return cand_.Size(); }
   const Arena& arena() const { return arena_; }
   static const char* Name() { return Strategy<D>::kName; }

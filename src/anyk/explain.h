@@ -13,25 +13,9 @@
 #include "anyk/sharded_query.h"
 #include "dp/stage_graph.h"
 #include "plan/planner.h"
+#include "plan/stats.h"
 
 namespace anyk {
-
-struct GraphStatsSummary {
-  size_t stages = 0;
-  size_t states = 0;      // surviving tuples across stages
-  size_t connectors = 0;  // shared choice sets
-  size_t input_rows = 0;  // rows before bottom-up pruning
-};
-
-template <SelectiveDioid D>
-GraphStatsSummary SummarizeGraph(const StageGraph<D>& g) {
-  GraphStatsSummary s;
-  s.stages = g.stages.size();
-  s.connectors = g.total_connectors;
-  for (const auto& st : g.stages) s.states += st.NumStates();
-  for (const auto& node : g.instance->nodes) s.input_rows += node.NumRows();
-  return s;
-}
 
 /// EXPLAIN of `pq`'s plan shape and sizes, with the planner lines of `d`.
 template <SelectiveDioid D>
@@ -50,7 +34,7 @@ std::string Explain(const PreparedQuery<D>& pq, const plan::PlanDecision& d) {
       break;
   }
   for (size_t t = 0; t < pq.graphs().size(); ++t) {
-    GraphStatsSummary s = SummarizeGraph(*pq.graphs()[t]);
+    const plan::GraphStats s = plan::CollectGraphStats(*pq.graphs()[t]);
     out << "  tree " << t << ": " << s.stages << " stages, " << s.input_rows
         << " bag rows, " << s.states << " surviving states, " << s.connectors
         << " connectors\n";

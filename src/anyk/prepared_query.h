@@ -141,9 +141,6 @@ struct PrepareOptions {
   // preparation reads it, which is why QueryHandle (anyk/query_handle.h)
   // prepares with 0 and re-decides per stream budget from decision().stats.
   EnumOptions enum_opts;
-  // Filter consecutive duplicates at the union level (only meaningful for
-  // overlapping decompositions; the simple-cycle one is disjoint).
-  bool dedup_union = false;
   CycleDecompositionOptions cycle_opts;
   // Preprocessing parallelism (not owned; may be null = serial). Only
   // used during construction — the PreparedQuery keeps no reference.
@@ -275,19 +272,15 @@ class PreparedQuery {
         return MakeEnumerator<D>(graphs_[0].get(), algo, enum_opts);
       case QueryPlan::kCycleUnion: {
         // Each part keeps the full k budget: a single partition may supply
-        // the entire top-k. With dedup (overlapping decompositions) a part
-        // can additionally be popped for answers that other parts already
-        // emitted, so there the parts run unbounded — only the union-level
-        // budget applies.
-        EnumOptions part_opts = enum_opts;
-        if (opts_.dedup_union) part_opts.k_budget = 0;
+        // the entire top-k. The simple-cycle decomposition is disjoint, so
+        // the union never dedups.
         std::vector<std::unique_ptr<Enumerator<D>>> parts;
         parts.reserve(graphs_.size());
         for (const auto& g : graphs_) {
-          parts.push_back(MakeEnumerator<D>(g.get(), algo, part_opts));
+          parts.push_back(MakeEnumerator<D>(g.get(), algo, enum_opts));
         }
         return std::make_unique<UnionEnumerator<D>>(
-            std::move(parts), opts_.dedup_union, enum_opts.k_budget);
+            std::move(parts), /*dedup=*/false, enum_opts.k_budget);
       }
       case QueryPlan::kGenericJoinBatch:
         return std::make_unique<SharedVectorEnumerator<D>>(

@@ -35,9 +35,6 @@ class RankedQuery {
   struct Options {
     Algorithm algorithm = Algorithm::kLazy;
     EnumOptions enum_opts;
-    // Filter consecutive duplicates at the union level (only meaningful for
-    // overlapping decompositions; the simple-cycle one is disjoint).
-    bool dedup_union = false;
     CycleDecompositionOptions cycle_opts;
     // Preprocessing parallelism (not owned; null = serial).
     ThreadPool* pool = nullptr;
@@ -47,8 +44,7 @@ class RankedQuery {
               Options opts = {})
       : prepared_(db, q,
                   PrepareOptions{
-                      opts.enum_opts, opts.dedup_union, opts.cycle_opts,
-                      opts.pool,
+                      opts.enum_opts, opts.cycle_opts, opts.pool,
                       /*auto_plan=*/opts.algorithm == Algorithm::kAuto}),
         session_(prepared_.NewSession(opts.algorithm, opts.enum_opts)) {}
 

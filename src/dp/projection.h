@@ -110,6 +110,9 @@ class MinWeightProjection : public Enumerator<D> {
   bool NextInto(ResultRow<D>* row) override {
     return enumerator_->NextInto(row);
   }
+  size_t NextBatch(ResultRow<D>* rows, size_t n) override {
+    return enumerator_->NextBatch(rows, n);
+  }
 
   const std::vector<uint32_t>& free_vars() const { return layered_.free_vars; }
 

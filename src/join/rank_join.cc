@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "storage/relation.h"
-#include "util/binary_heap.h"
+#include "util/dary_heap.h"
 #include "util/logging.h"
 
 namespace anyk {
@@ -141,7 +141,8 @@ class RankJoin::Hrjn : public RankJoin::Operator {
   std::unique_ptr<Operator> right_;
   std::shared_ptr<RankJoinStats> stats_;
   std::unordered_map<Value, std::vector<RankJoinTuple>> seen_l_, seen_r_;
-  BinaryHeap<RankJoinTuple, ByWeight> buffer_;
+  // Arity 2: the heap layout decides the pop order of equal-weight results.
+  DAryHeap<RankJoinTuple, ByWeight, std::allocator<RankJoinTuple>, 2> buffer_;
   bool left_done_ = false, right_done_ = false;
   bool pull_left_next_ = true;
   double first_l_ = kInf, first_r_ = kInf;

@@ -17,6 +17,8 @@ namespace {
 
 constexpr size_t kMaxHeaderBytes = 64 * 1024;
 constexpr size_t kMaxBodyBytes = 1024 * 1024;
+constexpr const char* kHeaderTooLarge =
+    "ERROR,400,request header section over 64 KiB\n";
 
 int HexVal(char c) {
   if (c >= '0' && c <= '9') return c - '0';
@@ -135,7 +137,10 @@ bool HttpConnection::ReadLine(std::string* line) {
       buf_pos_ = nl + 1;
       return true;
     }
-    if (buf_.size() - buf_pos_ > kMaxHeaderBytes) return false;
+    if (buf_.size() - buf_pos_ > kMaxHeaderBytes) {
+      WriteBadRequest(kHeaderTooLarge);
+      return false;
+    }
     if (!FillBuffer()) return false;
   }
 }
@@ -156,11 +161,7 @@ std::optional<HttpRequest> HttpConnection::ReadRequest() {
   const size_t sp1 = line.find(' ');
   const size_t sp2 = line.rfind(' ');
   if (sp1 == std::string::npos || sp2 == sp1) {
-    HttpResponse bad;
-    bad.status = 400;
-    bad.body = "ERROR,400,malformed request line\n";
-    bad.close_connection = true;
-    WriteResponse(bad);
+    WriteBadRequest("ERROR,400,malformed request line\n");
     return std::nullopt;
   }
   HttpRequest req;
@@ -183,7 +184,10 @@ std::optional<HttpRequest> HttpConnection::ReadRequest() {
     if (!ReadLine(&line)) return std::nullopt;
     if (line.empty()) break;
     header_bytes += line.size();
-    if (header_bytes > kMaxHeaderBytes) return std::nullopt;
+    if (header_bytes > kMaxHeaderBytes) {
+      WriteBadRequest(kHeaderTooLarge);
+      return std::nullopt;
+    }
     const size_t colon = line.find(':');
     if (colon == std::string::npos) continue;
     req.headers[ToLower(Trim(line.substr(0, colon)))] =
@@ -204,11 +208,7 @@ std::optional<HttpRequest> HttpConnection::ReadRequest() {
     // request on a keep-alive connection.
     size_t n = 0;
     if (!ParseSize(clen->second, &n) || n > kMaxBodyBytes) {
-      HttpResponse bad;
-      bad.status = 400;
-      bad.body = "ERROR,400,bad content-length\n";
-      bad.close_connection = true;
-      WriteResponse(bad);
+      WriteBadRequest("ERROR,400,bad content-length\n");
       return std::nullopt;
     }
     if (!ReadExact(n, &req.body)) return std::nullopt;
@@ -221,6 +221,14 @@ std::optional<HttpRequest> HttpConnection::ReadRequest() {
     }
   }
   return req;
+}
+
+void HttpConnection::WriteBadRequest(const char* body) {
+  HttpResponse bad;
+  bad.status = 400;
+  bad.body = body;
+  bad.close_connection = true;
+  WriteResponse(bad);
 }
 
 bool HttpConnection::WriteAll(const char* data, size_t n) {

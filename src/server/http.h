@@ -77,9 +77,13 @@ class HttpConnection {
   bool WriteResponse(const HttpResponse& resp);
 
  private:
+  /// One request or header line without its line end. False on EOF, and
+  /// also once 64 KiB arrive without a line end — then after writing a 400.
   bool ReadLine(std::string* line);
   bool ReadExact(size_t n, std::string* out);
   bool FillBuffer();
+  /// Best-effort 400 with `body` and Connection: close.
+  void WriteBadRequest(const char* body);
   bool WriteAll(const char* data, size_t n);
 
   int fd_;

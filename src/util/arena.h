@@ -15,8 +15,8 @@
 //    therefore retires old buffers inside the arena (bounded by the usual
 //    2x geometric-growth waste), which is the standard arena trade-off.
 //  * ArenaAllocator is a C++17 allocator so existing std containers (and
-//    BinaryHeap / PairingHeap storage) can be pointed at an arena without
-//    changing container logic.
+//    the DAryHeap / BoundedHeap arrays of util/dary_heap.h) can be pointed
+//    at an arena without changing container logic.
 
 #ifndef ANYK_UTIL_ARENA_H_
 #define ANYK_UTIL_ARENA_H_

@@ -1,14 +1,18 @@
 // Flat d-ary min-heaps for the enumeration hot path, plus a budget-aware
-// bounded wrapper for Lawler-style candidate queues.
+// bounded wrapper for Lawler-style candidate queues. This is the project's
+// only priority queue: every candidate, connector and merge heap is one of
+// these two classes.
 //
-// Why d-ary (default arity 4) instead of the classic binary layout of
-// util/binary_heap.h: the any-k candidate/suffix heaps are pop-and-push
-// workloads over small structs whose comparison key (the dioid weight) is
-// cached inline as the first member. A wider node halves the tree depth, so
-// a sift-up — the common operation when candidates arrive in near-sorted
-// order — touches half the cache lines, and the extra child comparisons of a
-// sift-down stay within one or two lines because the children are
-// contiguous. bench_topk measures the effect on TT(k).
+// Why an array d-ary heap (default arity 4): the any-k candidate/suffix
+// heaps are pop-and-push workloads over small structs whose comparison key
+// (the dioid weight) is cached inline as the first member. The paper's
+// ANYK-PART analysis assumes O(1)-insert pointer heaps, but observes that
+// they perform poorly in practice and runs array heaps; a wider node then
+// halves the tree depth, so a sift-up — the common operation when
+// candidates arrive in near-sorted order — touches half the cache lines,
+// and the extra child comparisons of a sift-down stay within one or two
+// lines because the children are contiguous. bench_ablation_pq measures the
+// arities the planner picks from (2, 4, 8).
 //
 // BoundedHeap adds the top-k budget logic ("Optimal Join Algorithms Meet
 // Top-k", Tziavelis et al. 2020): when the caller knows it will emit at most
@@ -39,19 +43,26 @@
 
 namespace anyk {
 
+// The sift helpers are declared inline and bound the child scan by
+// min(Arity, n - first), so GCC inlines them into the heap methods and the
+// Floyd loop and knows the scan's trip count (one compare at arity 2).
+// Without both, arity-2 heapify or drain runs up to 1.3x slower than a
+// hand-written binary heap. The comparator is taken by value, as the std
+// algorithms take it.
+
 /// Sift a[hole] down in a d-ary min-heap of size n.
 template <size_t Arity, typename Container, typename Less>
-void DArySiftDown(Container& a, size_t hole, Less& less) {
+inline void DArySiftDown(Container& a, size_t hole, Less less) {
   using T = typename Container::value_type;
   const size_t n = a.size();
   T value = std::move(a[hole]);
   while (true) {
     const size_t first = Arity * hole + 1;
     if (first >= n) break;
-    const size_t last = std::min(first + Arity, n);
+    const size_t children = std::min(Arity, n - first);
     size_t best = first;
-    for (size_t c = first + 1; c < last; ++c) {
-      if (less(a[c], a[best])) best = c;
+    for (size_t i = 1; i < children; ++i) {
+      if (less(a[first + i], a[best])) best = first + i;
     }
     if (!less(a[best], value)) break;
     a[hole] = std::move(a[best]);
@@ -62,7 +73,7 @@ void DArySiftDown(Container& a, size_t hole, Less& less) {
 
 /// Sift a[hole] up in a d-ary min-heap.
 template <size_t Arity, typename Container, typename Less>
-void DArySiftUp(Container& a, size_t hole, Less& less) {
+inline void DArySiftUp(Container& a, size_t hole, Less less) {
   using T = typename Container::value_type;
   T value = std::move(a[hole]);
   while (hole > 0) {
@@ -76,7 +87,7 @@ void DArySiftUp(Container& a, size_t hole, Less& less) {
 
 /// Establish the d-ary min-heap property in O(|v|) (Floyd's method).
 template <size_t Arity, typename Container, typename Less>
-void DAryHeapify(Container* v, Less& less) {
+inline void DAryHeapify(Container* v, Less less) {
   const size_t n = v->size();
   if (n < 2) return;
   for (size_t i = (n - 2) / Arity + 1; i-- > 0;) {
@@ -84,8 +95,7 @@ void DAryHeapify(Container* v, Less& less) {
   }
 }
 
-/// Flat d-ary min-heap. API mirrors BinaryHeap so the two are drop-in
-/// interchangeable behind the any-k enumerators' PQ template parameter.
+/// Flat d-ary min-heap.
 template <typename T, typename Less = std::less<T>,
           typename Alloc = std::allocator<T>, size_t Arity = 4>
 class DAryHeap {
@@ -103,10 +113,7 @@ class DAryHeap {
     data_ = std::move(entries);
     DAryHeapify<Arity>(&data_, less_);
   }
-  /// BinaryHeap-compatible alias of BuildFrom.
-  void Assign(Container entries) { BuildFrom(std::move(entries)); }
 
-  void Reserve(size_t n) { data_.reserve(n); }
   bool Empty() const { return data_.empty(); }
   size_t Size() const { return data_.size(); }
 
@@ -115,23 +122,9 @@ class DAryHeap {
     return data_[0];
   }
 
-  /// Read-only access to the flat array (tests; static navigation).
-  const T& Slot(size_t i) const { return data_[i]; }
-
   void Push(T value) {
     data_.push_back(std::move(value));
     DArySiftUp<Arity>(data_, data_.size() - 1, less_);
-  }
-
-  /// Insert a batch. When the batch rivals the current size the whole array
-  /// is re-heapified in O(n) instead of b * O(log n) sift-ups.
-  void PushBulk(const std::vector<T>& values) {
-    if (values.size() > data_.size() / 2) {
-      data_.insert(data_.end(), values.begin(), values.end());
-      DAryHeapify<Arity>(&data_, less_);
-      return;
-    }
-    for (const T& v : values) Push(v);
   }
 
   T PopMin() {
@@ -145,17 +138,6 @@ class DAryHeap {
     }
     return top;
   }
-
-  /// Pop the minimum and insert `value` in one sift (a "replace-top").
-  T ReplaceMin(T value) {
-    ANYK_DCHECK(!data_.empty());
-    T top = std::move(data_[0]);
-    data_[0] = std::move(value);
-    DArySiftDown<Arity>(data_, 0, less_);
-    return top;
-  }
-
-  void Clear() { data_.clear(); }
 
  private:
   Less less_;
@@ -204,8 +186,6 @@ class BoundedHeap {
     bounded_ = remaining > 0;
     remaining_ = remaining;
   }
-  bool bounded() const { return bounded_; }
-  size_t remaining_budget() const { return remaining_; }
   const BoundedHeapStats& stats() const { return stats_; }
 
   void BuildFrom(Container entries) {
@@ -214,9 +194,7 @@ class BoundedHeap {
     NoteSize();
     MaybeCompact();
   }
-  void Assign(Container entries) { BuildFrom(std::move(entries)); }
 
-  void Reserve(size_t n) { data_.reserve(n); }
   bool Empty() const { return data_.empty(); }
   size_t Size() const { return data_.size(); }
 
@@ -224,7 +202,6 @@ class BoundedHeap {
     ANYK_DCHECK(!data_.empty());
     return data_[0];
   }
-  const T& Slot(size_t i) const { return data_[i]; }
 
   void Push(T value) {
     if (bounded_) {
@@ -240,10 +217,6 @@ class BoundedHeap {
     MaybeCompact();
   }
 
-  void PushBulk(const std::vector<T>& values) {
-    for (const T& v : values) Push(v);
-  }
-
   T PopMin() {
     ANYK_DCHECK(!data_.empty());
     T top = std::move(data_[0]);
@@ -255,20 +228,6 @@ class BoundedHeap {
     }
     if (bounded_ && remaining_ > 0) --remaining_;
     return top;
-  }
-
-  T ReplaceMin(T value) {
-    // Not a pop-emission: used for in-place refills only.
-    ANYK_DCHECK(!data_.empty());
-    T top = std::move(data_[0]);
-    data_[0] = std::move(value);
-    DArySiftDown<Arity>(data_, 0, less_);
-    return top;
-  }
-
-  void Clear() {
-    data_.clear();
-    have_bound_ = false;
   }
 
  private:
@@ -324,18 +283,16 @@ class BoundedHeap {
   BoundedHeapStats stats_;
 };
 
-/// Aliases matching the enumerators' `template <class, class, class>` PQ
-/// parameter (arity fixed at 4, the sweet spot measured by bench_topk).
-template <typename T, typename Less, typename Alloc>
-using QuadHeap = DAryHeap<T, Less, Alloc, 4>;
+/// The default candidate queue, as an alias matching the enumerators'
+/// `template <class, class, class>` PQ parameter.
 template <typename T, typename Less, typename Alloc>
 using BoundedQuadHeap = BoundedHeap<T, Less, Alloc, 4>;
 
 /// Arity variants the cost-based planner can pick instead of the default 4
-/// (EnumOptions::heap_arity, dispatched in MakeEnumerator): binary heaps
-/// win on tiny candidate sets (shallow sift-up dominates), arity 8 trades
-/// more comparisons per level for fewer cache-missing levels on deep
-/// drains. See docs/PLANNER.md, "Heap arity".
+/// (EnumOptions::heap_arity, dispatched in MakeEnumerator; docs/PLANNER.md,
+/// "Heap arity"). bench_ablation_pq sweeps all three on both sides of the
+/// planner's thresholds; at k <= 64, where binary is picked, the three
+/// measure the same.
 template <typename T, typename Less, typename Alloc>
 using BoundedBinaryHeap = BoundedHeap<T, Less, Alloc, 2>;
 template <typename T, typename Less, typename Alloc>

@@ -362,11 +362,6 @@ void FuzzDAryHeapTape(uint64_t seed) {
       const int v = static_cast<int>(rng.Uniform(0, 12));  // heavy duplicates
       heap.Push(v);
       oracle.push(v);
-    } else if (rng.Bernoulli(0.1)) {
-      const int v = static_cast<int>(rng.Uniform(0, 12));
-      ASSERT_EQ(heap.ReplaceMin(v), oracle.top());
-      oracle.pop();
-      oracle.push(v);
     } else {
       ASSERT_EQ(heap.Min(), oracle.top());
       ASSERT_EQ(heap.PopMin(), oracle.top());

@@ -1,7 +1,8 @@
 // HTTP framing tests: HttpConnection::ReadRequest driven over a socketpair,
 // with the test playing the client. Covers Content-Length validation
-// (RFC 9110: 1*DIGIT, at most 1 MiB), truncated bodies, oversized header
-// blocks, malformed request lines and pipelined keep-alive requests.
+// (RFC 9110: 1*DIGIT, at most 1 MiB), truncated bodies, oversized request
+// and header lines and header blocks (a 400, not a silent close), malformed
+// request lines and pipelined keep-alive requests.
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -121,6 +122,11 @@ TEST(HttpFramingTest, BodyTruncatedByEofIsNotARequest) {
   EXPECT_FALSE(pair.Read().has_value());
 }
 
+bool IsHeaderTooLarge(const std::string& wire) {
+  return IsCloseWith400(wire) &&
+         wire.find("request header section over 64 KiB") != std::string::npos;
+}
+
 TEST(HttpFramingTest, HeaderBlockOver64KiBIsNotARequest) {
   std::string request = "GET /healthz HTTP/1.1\r\n";
   const std::string header = "X-Pad: " + std::string(1000, 'a') + "\r\n";
@@ -129,12 +135,23 @@ TEST(HttpFramingTest, HeaderBlockOver64KiBIsNotARequest) {
   HttpPair pair;
   pair.Send(request);
   EXPECT_FALSE(pair.Read().has_value());
+  const std::string wire = pair.Received();
+  EXPECT_TRUE(IsHeaderTooLarge(wire)) << wire;
 }
 
 TEST(HttpFramingTest, HeaderLineOver64KiBIsNotARequest) {
-  HttpPair pair;
-  pair.Send("GET /healthz HTTP/1.1\r\nX-Pad: " + std::string(70 * 1024, 'a'));
-  EXPECT_FALSE(pair.Read().has_value());
+  // One header line, or the request line itself, with no line end in the
+  // first 64 KiB.
+  for (const std::string& request :
+       {"GET /healthz HTTP/1.1\r\nX-Pad: " + std::string(70 * 1024, 'a'),
+        "GET /" + std::string(70 * 1024, 'a') + " HTTP/1.1\r\n\r\n"}) {
+    SCOPED_TRACE(request.substr(0, 40));
+    HttpPair pair;
+    pair.Send(request);
+    EXPECT_FALSE(pair.Read().has_value());
+    const std::string wire = pair.Received();
+    EXPECT_TRUE(IsHeaderTooLarge(wire)) << wire;
+  }
 }
 
 TEST(HttpFramingTest, RequestLineWithOneSpaceGets400AndClose) {

@@ -1,6 +1,6 @@
-// Cross-checks of the standalone join engines: Yannakakis, GenericJoin
-// (NPRR-style WCOJ), the reference hash-join executor, and Rank-Join —
-// all against the brute-force oracle.
+// Cross-checks of the standalone join engines: GenericJoin (NPRR-style
+// WCOJ), the reference hash-join executor, and Rank-Join — all against the
+// brute-force oracle.
 
 #include <algorithm>
 #include <cstddef>
@@ -14,7 +14,6 @@
 #include "join/generic_join.h"
 #include "join/rank_join.h"
 #include "join/reference_executor.h"
-#include "join/yannakakis.h"
 #include "dioid/tropical.h"
 #include "query/cq.h"
 #include "test_util.h"
@@ -31,42 +30,6 @@ std::multiset<std::vector<uint32_t>> WitnessSet(const JoinResultSet& rs) {
                                      rs.witness(i) + rs.num_atoms));
   }
   return out;
-}
-
-TEST(YannakakisTest, MatchesBruteForceOnPaths) {
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    Database db = MakePathDatabase(40, 3, seed, {.fanout = 6.0});
-    auto q = ConjunctiveQuery::Path(3);
-    EXPECT_EQ(WitnessSet(YannakakisJoin(db, q)),
-              WitnessSet(BruteForceJoin(db, q)));
-  }
-}
-
-TEST(YannakakisTest, MatchesBruteForceOnTrees) {
-  Database db = MakePathDatabase(25, 5, 7, {.fanout = 5.0});
-  ConjunctiveQuery q;
-  q.AddAtom("R1", {"a", "b"});
-  q.AddAtom("R2", {"b", "c"});
-  q.AddAtom("R3", {"b", "d"});
-  q.AddAtom("R4", {"d", "e"});
-  q.AddAtom("R5", {"d", "f"});
-  EXPECT_EQ(WitnessSet(YannakakisJoin(db, q)),
-            WitnessSet(BruteForceJoin(db, q)));
-}
-
-TEST(YannakakisTest, DanglingTuplesPruned) {
-  Database db;
-  auto& r1 = db.AddRelation("R1", 2);
-  r1.Add({1, 2}, 0);
-  r1.Add({1, 9}, 0);  // dangling
-  auto& r2 = db.AddRelation("R2", 2);
-  r2.Add({2, 3}, 0);
-  r2.Add({7, 3}, 0);  // dangling
-  auto q = ConjunctiveQuery::Path(2);
-  auto rs = YannakakisJoin(db, q);
-  ASSERT_EQ(rs.size(), 1u);
-  EXPECT_EQ(rs.witness(0)[0], 0u);
-  EXPECT_EQ(rs.witness(0)[1], 0u);
 }
 
 TEST(GenericJoinTest, MatchesBruteForceOnCycles) {
