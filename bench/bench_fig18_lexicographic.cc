@@ -54,6 +54,12 @@ int main(int argc, char** argv) {
           e = MakeEnumerator<Lex>(&g, Algorithm::kTake2);
         }
         std::optional<ResultRow<Lex>> Next() override { return e->Next(); }
+        bool NextInto(ResultRow<Lex>* row) override {
+          return e->NextInto(row);
+        }
+        size_t NextBatch(ResultRow<Lex>* rows, size_t n) override {
+          return e->NextBatch(rows, n);
+        }
       };
       return std::make_unique<Holder>(db, q);
     };

@@ -44,6 +44,11 @@ Rules (see docs/STATIC_ANALYSIS.md for the rationale of each):
                        cli/ no other class or struct whose name ends in
                        `Heap`, and no std::priority_queue or
                        make_heap/push_heap/pop_heap/sort_heap.
+  batch-forwarding     Every class or struct in src/ and cli/ that derives
+                       Enumerator<...> overrides NextBatch: the base
+                       fallback loops NextInto row by row, so a wrapper
+                       without the override drains its inner enumerator one
+                       answer at a time and skips its stage-wise binding.
   iostream-header      No `#include <iostream>` in library headers — it
                        injects a static iostream initializer into every TU.
   raw-mutex            `std::mutex` / `std::condition_variable` / std lock
@@ -113,6 +118,12 @@ _ENV_KNOB = re.compile(r"\b(?:std::)?(?:secure_)?getenv\s*\(")
 _HEAP_CLASS = re.compile(r"\b(?:class|struct)\s+\w*Heap\b(?!\s*[,>=])")
 _STD_HEAP = re.compile(
     r"\bstd::priority_queue\b|\b(?:make|push|pop|sort)_heap\b")
+# A class/struct whose base list names Enumerator<...> (possibly across
+# lines); group 1 is the class name. `MyEnumerator<` does not match.
+_ENUMERATOR_CLASS = re.compile(
+    r"\b(?:class|struct)\s+(\w+)(?:\s+final)?\s*:(?!:)[^;{()]*?"
+    r"(?<!\w)(?:\w+::)*Enumerator\s*<")
+_NEXT_BATCH = re.compile(r"\bNextBatch\s*\(")
 _IOSTREAM = re.compile(r'#\s*include\s*<iostream>')
 _RAW_MUTEX = re.compile(
     r"\bstd::(?:mutex|timed_mutex|recursive_mutex|shared_mutex|"
@@ -322,6 +333,46 @@ class OneHeap(Rule):
         return None
 
 
+class BatchForwarding(Rule):
+    def __init__(self) -> None:
+        super().__init__(
+            "batch-forwarding",
+            "every Enumerator<...> subclass in src/ and cli/ overrides "
+            "NextBatch; the base fallback pulls row by row",
+        )
+
+    def applies_to(self, relpath: str) -> bool:
+        return relpath.startswith(("src/", "cli/"))
+
+    def check_line(self, relpath: str, code: str) -> str | None:
+        return None
+
+    def check_file(self, relpath: str, code: list[str],
+                   literals: list[list[str]]) -> dict[int, str]:
+        # Match the declaration over the whole stripped file (a base list may
+        # wrap), then scan the brace-matched class body for a NextBatch
+        # declaration or definition; comments are already blanked.
+        text = "\n".join(code)
+        hits: dict[int, str] = {}
+        for m in _ENUMERATOR_CLASS.finditer(text):
+            open_brace = text.find("{", m.end())
+            if open_brace < 0:
+                continue
+            depth, pos = 0, open_brace
+            while pos < len(text):
+                depth += {"{": 1, "}": -1}.get(text[pos], 0)
+                pos += 1
+                if depth == 0:
+                    break
+            if _NEXT_BATCH.search(text, open_brace, pos):
+                continue
+            hits[text.count("\n", 0, m.start())] = (
+                f"{m.group(1)} derives Enumerator but does not override "
+                "NextBatch, so callers drain it through the row-by-row "
+                "NextInto fallback; forward or implement NextBatch")
+        return hits
+
+
 class IostreamHeader(Rule):
     def __init__(self) -> None:
         super().__init__(
@@ -367,6 +418,7 @@ RULES: list[Rule] = [
     LenientParse(),
     EnvKnob(),
     OneHeap(),
+    BatchForwarding(),
     IostreamHeader(),
     RawMutex(),
 ]
@@ -686,6 +738,45 @@ SELF_TEST_CASES = [
     ("tests may keep a std::priority_queue oracle",
      "tests/ok.cc",
      "std::priority_queue<int> oracle;\nstruct FakeHeap {};\n", set()),
+    ("an Enumerator wrapper without NextBatch",
+     "src/dp/bad.h",
+     "template <SelectiveDioid D>\n"
+     "class Wrapper : public Enumerator<D> {\n"
+     " public:\n"
+     "  bool NextInto(ResultRow<D>* row) override { return e_->NextInto(row); }\n"
+     "  // NextBatch(rows, n) falls back to NextInto\n"
+     "};\n",
+     {"batch-forwarding"}),
+    ("a base list that wraps onto the next line",
+     "cli/bad.cc",
+     "struct Holder final\n    : public anyk::Enumerator<Lex> {\n"
+     "  std::optional<ResultRow<Lex>> Next() override;\n};\n",
+     {"batch-forwarding"}),
+    ("an Enumerator that overrides NextBatch",
+     "src/anyk/ok.h",
+     "class Wrapper : public Enumerator<D> {\n"
+     "  size_t NextBatch(ResultRow<D>* rows, size_t n) override {\n"
+     "    return inner_->NextBatch(rows, n);\n  }\n};\n",
+     set()),
+    ("a final NextBatch override",
+     "src/anyk/ok.h",
+     "class Leaf final : public Enumerator<D> {\n"
+     "  size_t NextBatch(ResultRow<D>* rows, size_t n) final;\n};\n",
+     set()),
+    ("a class that is not an Enumerator",
+     "src/anyk/ok.h",
+     "class HandleStream : public PageStream {\n"
+     "  size_t FetchPage(size_t n, const RowFn& fn) override;\n};\n"
+     "class Tap : public MyEnumerator<D> {\n};\n"
+     "template <class> class Strategy>\n"
+     "std::unique_ptr<Enumerator<D>> Make(const StageGraph<D>* g);\n",
+     set()),
+    ("a justified allow covers the declaration",
+     "src/anyk/ok.h",
+     "template <SelectiveDioid D>\n"
+     "// anyk-lint: allow(batch-forwarding): fills its ring row by row\n"
+     "class Ring : public Enumerator<D> {\n};\n",
+     set()),
     ("iostream in a library header",
      "src/util/bad.h", "#include <iostream>\n", {"iostream-header"}),
     ("iostream in a .cc is fine",

@@ -30,7 +30,24 @@
 // per-stage offset table instead of a hash map). The rankings themselves,
 // with every heap and combination rank-vector, are built in the per-query
 // Arena on first touch — after construction the enumeration loop performs
-// no global heap allocation.
+// no global heap allocation. Only rankings that something reads again are
+// kept:
+//  * the root connector is ranked by its heap and the current (peeked)
+//    entry only: no parent shares it, and no earlier root rank is read
+//    again, so it keeps no list of Π1, Π2, ... (a list would grow by one
+//    entry per answer);
+//  * a leaf connector (a stage with no child slots) serves ranks 1 and 2
+//    straight from the stage graph's heap layout — slot 0, and the lesser
+//    of slots 1 and 2 — and builds its ranking only when rank 3 is first
+//    asked for, re-deriving ranks 1-2 through the same heap moves (slot 1 is
+//    pushed before slot 2 and a sift-up needs a strict less, the tie rule
+//    of ConnSecond). AnyKRecStats::conns_initialized counts the rankings
+//    materialized this way, the root included — not the connectors touched.
+//
+// NextBatch ranks up to n answers first, recording each answer's state at
+// every stage in an arena-backed L-strided matrix, then binds variables
+// stage-wise across the batch (BindStateBatch), as ANYK-PART does; NextInto
+// runs the same ranking step and binds one row, so the two interleave.
 //
 // Threading: suffix rankings are memoization *per enumerator*, not per
 // graph — conn_rank_/state_rank_ are members, the shared StageGraph is
@@ -59,6 +76,9 @@ namespace anyk {
 struct AnyKRecStats {
   size_t heap_pushes = 0;
   size_t heap_pops = 0;
+  // Connector rankings built in the arena: the root's heap, and every other
+  // connector's on first touch — except leaf connectors, which only count
+  // once rank 3 is asked for (ranks 1-2 come from the heap layout).
   size_t conns_initialized = 0;
   size_t combos_created = 0;
 };
@@ -74,7 +94,12 @@ class RecursiveEnumerator : public Enumerator<D> {
         opts_(opts),
         arena_(opts.arena_block_bytes == 0 ? Arena::kDefaultFirstBlockBytes
                                            : opts.arena_block_bytes),
-        conn_rank_(g->total_connectors, nullptr) {
+        conn_rank_(g->total_connectors, nullptr),
+        root_heap_(EntryLess{}, ArenaAllocator<ConnEntry>(&arena_)),
+        batch_states_(ArenaAllocator<uint32_t>(&arena_)),
+        batch_weights_(ArenaAllocator<V>(&arena_)),
+        batch_ids_(ArenaAllocator<uint32_t>(&arena_)),
+        batch_vals_(ArenaAllocator<Value>(&arena_)) {
     arena_.Reserve(opts_.arena_reserve_bytes);
     // Flat offset table for product-state rankings: stages with >= 2 child
     // slots get a dense block of StateRank slots, one per state.
@@ -87,26 +112,46 @@ class RecursiveEnumerator : public Enumerator<D> {
       }
     }
     state_rank_.assign(base, nullptr);
+    states_.assign(g_->stages.size(), 0);
   }
 
   bool NextInto(ResultRow<D>* row) override {
-    if (g_->Empty()) return false;
-    // Budget: rank k_budget is the last one ever materialized; past it the
-    // session is exhausted by definition.
-    if (opts_.k_budget != 0 && k_ >= opts_.k_budget) return false;
-    ++k_;
-    if (!EnsureConnRank(0, StageGraph<D>::kRootConn, k_)) return false;
-    const ConnEntry e = RankedEntry(0, StageGraph<D>::kRootConn, k_);
-
-    row->weight = e.val;
-    row->assignment.assign(g_->instance->num_vars, 0);
-    if (opts_.with_witness) {
-      row->witness.assign(g_->instance->num_atoms, kNoRow);
-    } else {
-      row->witness.clear();
+    if (!Advance()) return false;
+    PrepareRow(root_cur_.val, row);
+    for (uint32_t j = 0; j < g_->stages.size(); ++j) {
+      BindState(*g_, j, states_[j], &row->assignment,
+                opts_.with_witness ? &row->witness : nullptr);
     }
-    AssembleState(0, g_->stages[0].members[e.member_pos], e.rank, row);
     return true;
+  }
+
+  /// Batched pull: rank up to `n` answers first (stashing each answer's
+  /// stage states and weight in arena scratch), then bind variables
+  /// stage-wise across the whole batch (BindStateBatch). Short return ⇒
+  /// exhausted (the only early exit is Advance() == false); see the
+  /// contract in anyk/enumerator.h.
+  size_t NextBatch(ResultRow<D>* rows, size_t n) override {
+    const size_t L = g_->stages.size();
+    batch_states_.clear();
+    batch_weights_.clear();
+    size_t produced = 0;
+    while (produced < n && Advance()) {
+      batch_states_.insert(batch_states_.end(), states_.begin(),
+                           states_.end());
+      batch_weights_.push_back(root_cur_.val);
+      ++produced;
+    }
+    for (size_t b = 0; b < produced; ++b) {
+      PrepareRow(batch_weights_[b], &rows[b]);
+    }
+    batch_ids_.resize(2 * produced);
+    batch_vals_.resize(produced);
+    for (uint32_t j = 0; j < L; ++j) {
+      BindStateBatch(*g_, j, batch_states_.data(), L, j, produced, rows,
+                     opts_.with_witness, batch_ids_.data(),
+                     batch_vals_.data());
+    }
+    return produced;
   }
 
   std::optional<ResultRow<D>> Next() override {
@@ -157,36 +202,89 @@ class RecursiveEnumerator : public Enumerator<D> {
     ComboHeap heap;
   };
 
-  const ConnEntry& RankedEntry(uint32_t stage, uint32_t conn, uint32_t k) {
+  /// Πk of the connector (EnsureConnRank(stage, conn, k) must hold). A leaf
+  /// connector's ranks 1-2 come from the heap layout, so this returns by
+  /// value.
+  ConnEntry RankedEntry(uint32_t stage, uint32_t conn, uint32_t k) const {
+    const auto& st = g_->stages[stage];
+    if (st.num_slots == 0 && k <= 2) {
+      const uint32_t pos = k == 1 ? st.ConnBest(conn) : st.ConnSecond(conn);
+      return ConnEntry{st.member_val[pos], pos, 1};
+    }
     return conn_rank_[g_->GlobalConn(stage, conn)]->ranked[k - 1];
   }
 
-  /// A connector's ranking, seeded with its heap slot 0 (the rank-1 entry
-  /// of its best member); built in the arena on first touch.
+  /// A connector's ranking, built in the arena on first touch.
   ConnRank* NewConnRank(uint32_t stage, uint32_t conn) {
-    const auto& st = g_->stages[stage];
     ConnRank* cr = new (arena_.Allocate(sizeof(ConnRank), alignof(ConnRank)))
         ConnRank{MakeArenaVector<ConnEntry>(&arena_),
                  EntryHeap(EntryLess{}, ArenaAllocator<ConnEntry>(&arena_))};
+    SeedHeap(stage, conn, &cr->heap);
+    return cr;
+  }
+
+  /// Start a connector's ranking: push heap slot 0, the rank-1 entry of
+  /// its best member.
+  void SeedHeap(uint32_t stage, uint32_t conn, EntryHeap* heap) {
+    const auto& st = g_->stages[stage];
     const uint32_t best = st.ConnBest(conn);
-    cr->heap.Push(ConnEntry{st.member_val[best], best, 1});
+    heap->Push(ConnEntry{st.member_val[best], best, 1});
     ++stats_.heap_pushes;
     ++stats_.conns_initialized;
-    return cr;
   }
 
   /// Push the rank-1 entries of the heap children of the member at `pos`.
   void PushHeapChildren(uint32_t stage, uint32_t conn, uint32_t pos,
-                        ConnRank* cr) {
+                        EntryHeap* heap) {
     const auto& st = g_->stages[stage];
     const auto [first, last] = st.HeapChildren(conn, pos);
     for (uint32_t p = first; p < last; ++p) {
-      cr->heap.Push(ConnEntry{st.member_val[p], p, 1});
+      heap->Push(ConnEntry{st.member_val[p], p, 1});
       ++stats_.heap_pushes;
     }
   }
 
-  /// Materialize Πk of the connector; false if fewer than k suffixes exist.
+  /// Pop the entry peeked as a connector's last rank (still the heap's top)
+  /// and push the next-heavier suffix through the same member, if any; a
+  /// rank-1 entry also admits its member's heap children.
+  void PopAndRefill(uint32_t stage, uint32_t conn, EntryHeap* heap) {
+    const auto& st = g_->stages[stage];
+    const ConnEntry e = heap->PopMin();
+    ++stats_.heap_pops;
+    if (e.rank == 1) PushHeapChildren(stage, conn, e.member_pos, heap);
+    const uint32_t state = st.members[e.member_pos];
+    V below;
+    if (EnsureStateRank(stage, state, e.rank + 1, &below)) {
+      heap->Push(ConnEntry{D::Combine(st.weight[state], below), e.member_pos,
+                           e.rank + 1});
+      ++stats_.heap_pushes;
+    }
+  }
+
+  /// Rank the next answer: advance the root ranking one step (the ranking
+  /// is seeded on the first call) and record the answer's state at every
+  /// stage in states_; root_cur_.val is its weight. False when the output —
+  /// or the k budget — is exhausted, and from then on.
+  bool Advance() {
+    if (g_->Empty()) return false;
+    // Budget: rank k_budget is the last one ever materialized; past it the
+    // session is exhausted by definition.
+    if (opts_.k_budget != 0 && k_ >= opts_.k_budget) return false;
+    if (k_ == 0) {
+      SeedHeap(0, StageGraph<D>::kRootConn, &root_heap_);
+    } else {
+      if (root_heap_.Empty()) return false;
+      PopAndRefill(0, StageGraph<D>::kRootConn, &root_heap_);
+      if (root_heap_.Empty()) return false;
+    }
+    ++k_;
+    root_cur_ = root_heap_.Min();  // peek defines the next rank
+    WalkState(0, g_->stages[0].members[root_cur_.member_pos], root_cur_.rank);
+    return true;
+  }
+
+  /// Materialize Πk of a non-root connector; false if fewer than k
+  /// suffixes exist.
   ///
   /// Lazy peek-then-pop scheme (Algorithm 2, lines 24-34): rank j is the
   /// heap *peek* after j-1 pops. Advancing pops the previously peeked entry
@@ -194,26 +292,15 @@ class RecursiveEnumerator : public Enumerator<D> {
   /// which recursively advances exactly one rank per stage — O(l) priority-
   /// queue operations per result.
   bool EnsureConnRank(uint32_t stage, uint32_t conn, uint32_t k) {
+    const auto& st = g_->stages[stage];
+    if (st.num_slots == 0 && k <= 2) return k <= st.ConnSize(conn);
     ConnRank*& slot = conn_rank_[g_->GlobalConn(stage, conn)];
     if (slot == nullptr) [[unlikely]] slot = NewConnRank(stage, conn);
     ConnRank& cr = *slot;
-    const auto& st = g_->stages[stage];
     while (cr.ranked.size() < k) {
       if (!cr.ranked.empty()) {
-        // Advance: pop the entry peeked as the last rank (still the top) and
-        // push the next suffix through the same member, if any. A rank-1
-        // entry also admits its member's heap children.
         if (cr.heap.Empty()) return false;
-        ConnEntry e = cr.heap.PopMin();
-        ++stats_.heap_pops;
-        if (e.rank == 1) PushHeapChildren(stage, conn, e.member_pos, &cr);
-        const uint32_t state = st.members[e.member_pos];
-        V below;
-        if (EnsureStateRank(stage, state, e.rank + 1, &below)) {
-          cr.heap.Push(ConnEntry{D::Combine(st.weight[state], below),
-                                 e.member_pos, e.rank + 1});
-          ++stats_.heap_pushes;
-        }
+        PopAndRefill(stage, conn, &cr.heap);
       }
       if (cr.heap.Empty()) return false;
       cr.ranked.push_back(cr.heap.Min());  // peek defines the next rank
@@ -300,12 +387,10 @@ class RecursiveEnumerator : public Enumerator<D> {
     return true;
   }
 
-  /// Write `state`'s bindings and recurse into the children realizing its
+  /// Record `state` in states_ and recurse into the children realizing its
   /// rank-j completion (everything is already materialized).
-  void AssembleState(uint32_t stage, uint32_t state, uint32_t j,
-                     ResultRow<D>* row) {
-    BindState(*g_, stage, state, &row->assignment,
-              opts_.with_witness ? &row->witness : nullptr);
+  void WalkState(uint32_t stage, uint32_t state, uint32_t j) {
+    states_[stage] = state;
     const auto& st = g_->stages[stage];
     const uint32_t slots = st.num_slots;
     if (slots == 0) return;
@@ -315,7 +400,7 @@ class RecursiveEnumerator : public Enumerator<D> {
       const bool ok = EnsureConnRank(cs, conn, j);  // cheap if materialized
       ANYK_CHECK(ok);
       const ConnEntry e = RankedEntry(cs, conn, j);
-      AssembleState(cs, g_->stages[cs].members[e.member_pos], e.rank, row);
+      WalkState(cs, g_->stages[cs].members[e.member_pos], e.rank);
       return;
     }
     V dummy;
@@ -328,7 +413,18 @@ class RecursiveEnumerator : public Enumerator<D> {
       const bool ok = EnsureConnRank(cs, conn, c.ranks[b]);
       ANYK_CHECK(ok);
       const ConnEntry e = RankedEntry(cs, conn, c.ranks[b]);
-      AssembleState(cs, g_->stages[cs].members[e.member_pos], e.rank, row);
+      WalkState(cs, g_->stages[cs].members[e.member_pos], e.rank);
+    }
+  }
+
+  /// Size the row's reusable buffers and set the weight (no binding yet).
+  void PrepareRow(const V& total, ResultRow<D>* row) {
+    row->weight = total;
+    row->assignment.assign(g_->instance->num_vars, 0);
+    if (opts_.with_witness) {
+      row->witness.assign(g_->instance->num_atoms, kNoRow);
+    } else {
+      row->witness.clear();
     }
   }
 
@@ -341,10 +437,18 @@ class RecursiveEnumerator : public Enumerator<D> {
   EnumOptions opts_;
   // The arena must precede every member that draws from it.
   Arena arena_;
-  std::vector<ConnRank*> conn_rank_;       // null until first touch
+  std::vector<ConnRank*> conn_rank_;       // null until first touch; the
+                                           // root's entry stays null
   std::vector<uint32_t> state_rank_base_;  // per stage; kNoBase if < 2 slots
   std::vector<StateRank*> state_rank_;     // flat, only λ >= 2 stages
-  uint32_t k_ = 0;
+  EntryHeap root_heap_;                    // the root ranking: heap + peek
+  ConnEntry root_cur_{};                   // rank k_ of the root connector
+  std::vector<uint32_t> states_;           // the current answer, per stage
+  ArenaVector<uint32_t> batch_states_;  // NextBatch scratch: L states per row
+  ArenaVector<V> batch_weights_;
+  ArenaVector<uint32_t> batch_ids_;  // BindStateBatch id scratch (2 per row)
+  ArenaVector<Value> batch_vals_;    // BindStateBatch value scratch
+  uint32_t k_ = 0;                   // root ranks produced so far
   AnyKRecStats stats_;
 };
 

@@ -79,9 +79,9 @@ struct EnumOptions {
 ///    row's vectors on every call).
 ///  * NextInto(&row) — hot-path API writing into a caller-owned row whose
 ///    buffers are reused across calls; after a warm-up call the per-result
-///    cost contains no heap allocation. The harness and CLI drain through
-///    this; the default implementation falls back to Next() for wrapper
-///    enumerators (union, projection, ...) that don't override it.
+///    cost contains no heap allocation. The default implementation falls
+///    back to Next() for enumerators that don't override it; the harness
+///    and CLI drain through NextBatch below.
 template <SelectiveDioid D>
 class Enumerator {
  public:
@@ -120,10 +120,14 @@ class Enumerator {
   ///
   /// This base fallback inherits the contract from NextInto (its only
   /// short-stop is NextInto returning false, i.e. exhaustion — clause 2
-  /// holds by construction). ANYK-PART and the batch enumerator override it
-  /// to bind variables stage-wise across the whole batch via the bind
-  /// kernels (storage/kernels.h); enumerators with no such cross-answer
-  /// structure keep this NextInto loop.
+  /// holds by construction). ANYK-PART, ANYK-REC (RecursiveEnumerator) and
+  /// the batch enumerator override it to rank the whole batch first and
+  /// then bind variables stage-wise across it via the bind kernels
+  /// (storage/kernels.h); the ranked union runs its merge in it (pulling
+  /// its parts a row at a time); the wrappers (MinWeightProjection,
+  /// SharedVectorEnumerator) forward it. Only ParallelUnionEnumerator keeps
+  /// this NextInto loop — the batch-forwarding lint rule
+  /// (scripts/anyk_lint.py) keeps it that way.
   virtual size_t NextBatch(ResultRow<D>* rows, size_t n) {
     size_t produced = 0;
     while (produced < n && NextInto(&rows[produced])) ++produced;

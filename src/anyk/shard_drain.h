@@ -44,6 +44,9 @@
 namespace anyk {
 
 template <SelectiveDioid D>
+// anyk-lint: allow(batch-forwarding): the workers fill their rings row by
+// row through NextInto and the merge hands out one ring row per pop; ROADMAP
+// item 4 decides whether this class earns a batched path or goes.
 class ParallelUnionEnumerator : public Enumerator<D> {
   using V = typename D::Value;
 

@@ -13,7 +13,15 @@
 // rows live in a per-source slot pool and the heap holds only (weight,
 // source) pairs. Rows move between the pool and the caller's buffer by
 // swap, so steady-state union enumeration performs no heap allocation of
-// its own (the sources' NextInto already reuse the slot's buffers).
+// its own (the sources' NextInto already reuse the slot's buffers). The
+// previously emitted result is kept only with dedup on.
+//
+// Look-ahead: a source is pulled one row ahead of the merge (its pending
+// row), and each source carries the full k in its EnumOptions.
+//
+// Batching: NextBatch runs the merge over the caller's rows and NextInto is
+// NextBatch(row, 1), so there is one merge path; the sources are pulled a
+// row at a time through their NextInto.
 //
 // Threading: the union owns its sub-enumerators, slots and heap outright;
 // one UnionEnumerator per session (PreparedQuery::NewSession builds the
@@ -40,7 +48,7 @@ class UnionEnumerator : public Enumerator<D> {
 
  public:
   /// `k_budget` caps the number of answers *emitted by the union* (0 = all);
-  /// after the k-th answer NextInto reports exhaustion without pulling the
+  /// after the k-th answer NextBatch reports exhaustion without pulling the
   /// sources again. Each source's own budget travels in its EnumOptions
   /// (PreparedQuery::NewSession gives every part the full k: any single
   /// partition may supply the entire top-k).
@@ -63,24 +71,30 @@ class UnionEnumerator : public Enumerator<D> {
     heap_.BuildFrom(std::move(initial));
   }
 
-  bool NextInto(ResultRow<D>* row) override {
-    if (k_budget_ != 0 && emitted_ >= k_budget_) return false;
-    while (!heap_.Empty()) {
+  bool NextInto(ResultRow<D>* row) override { return NextBatch(row, 1) == 1; }
+
+  size_t NextBatch(ResultRow<D>* rows, size_t n) override {
+    size_t produced = 0;
+    while (produced < n && !heap_.Empty() &&
+           (k_budget_ == 0 || emitted_ < k_budget_)) {
       const uint32_t source = heap_.PopMin().source;
-      std::swap(*row, slots_[source]);  // hand out the pending row's buffers
+      ResultRow<D>& row = rows[produced];
+      std::swap(row, slots_[source]);  // hand out the pending row's buffers
       Refill(source);
-      if (dedup_ && have_last_ && DioidEq<D>(row->weight, last_weight_) &&
-          row->assignment == last_assignment_) {
-        ++duplicates_filtered_;
-        continue;  // duplicate of the previously emitted result
+      if (dedup_) {
+        if (have_last_ && DioidEq<D>(row.weight, last_weight_) &&
+            row.assignment == last_assignment_) {
+          ++duplicates_filtered_;
+          continue;  // duplicate of the previously emitted result
+        }
+        have_last_ = true;
+        last_weight_ = row.weight;
+        last_assignment_ = row.assignment;
       }
-      have_last_ = true;
-      last_weight_ = row->weight;
-      last_assignment_ = row->assignment;
       ++emitted_;
-      return true;
+      ++produced;
     }
-    return false;
+    return produced;
   }
 
   std::optional<ResultRow<D>> Next() override {
@@ -114,6 +128,7 @@ class UnionEnumerator : public Enumerator<D> {
   size_t k_budget_;
   size_t emitted_ = 0;
   DAryHeap<Pending, PendingLess> heap_;
+  // The previously emitted result; only written with dedup on.
   bool have_last_ = false;
   V last_weight_{};
   std::vector<Value> last_assignment_;

@@ -88,45 +88,66 @@ struct Answer {
 // Differential drivers
 // ---------------------------------------------------------------------------
 
+/// Hand every answer to `fn`, up to `cap`: one NextInto call per answer
+/// (page == 0), or NextBatch pulls of `page` rows.
+template <typename D, typename Fn>
+void PullAnswers(Enumerator<D>* e, size_t cap, size_t page, Fn fn) {
+  size_t seen = 0;
+  if (page == 0) {
+    ResultRow<D> row;
+    while (seen < cap && e->NextInto(&row)) {
+      fn(row);
+      ++seen;
+    }
+    return;
+  }
+  std::vector<ResultRow<D>> rows(page);
+  while (seen < cap) {
+    const size_t want = std::min(page, cap - seen);
+    const size_t got = e->NextBatch(rows.data(), want);
+    for (size_t b = 0; b < got; ++b) fn(rows[b]);
+    seen += got;
+    if (got < want) break;
+  }
+}
+
 template <typename B>
 std::vector<Answer> DrainExact(const Database& db, const ConjunctiveQuery& q,
                                Algorithm algo, size_t cap,
-                               size_t k_budget = 0) {
+                               size_t k_budget = 0, size_t page = 0) {
   using TB = TieBreakDioid<B, kMaxAtoms>;
   typename RankedQuery<TB>::Options opts;
   opts.algorithm = algo;
   opts.enum_opts.k_budget = k_budget;
   RankedQuery<TB> rq(db, q, opts);
   std::vector<Answer> out;
-  ResultRow<TB> row;
-  while (out.size() < cap && rq.enumerator()->NextInto(&row)) {
+  PullAnswers(rq.enumerator(), cap, page, [&](const ResultRow<TB>& row) {
     Answer a;
     a.base_weight = row.weight.base;
     a.tie_ids.assign(row.weight.id.begin(), row.weight.id.end());
     a.assignment = row.assignment;
     a.witness = row.witness;
     out.push_back(std::move(a));
-  }
+  });
   return out;
 }
 
 template <typename B>
 std::vector<Answer> DrainRaw(const Database& db, const ConjunctiveQuery& q,
                              Algorithm algo, size_t cap,
-                             size_t k_budget = 0) {
+                             size_t k_budget = 0, size_t page = 0) {
   typename RankedQuery<B>::Options opts;
   opts.algorithm = algo;
   opts.enum_opts.k_budget = k_budget;
   RankedQuery<B> rq(db, q, opts);
   std::vector<Answer> out;
-  ResultRow<B> row;
-  while (out.size() < cap && rq.enumerator()->NextInto(&row)) {
+  PullAnswers(rq.enumerator(), cap, page, [&](const ResultRow<B>& row) {
     Answer a;
     a.base_weight = static_cast<double>(row.weight);
     a.assignment = row.assignment;
     a.witness = row.witness;
     out.push_back(std::move(a));
-  }
+  });
   return out;
 }
 
@@ -351,6 +372,65 @@ TEST_P(BoundedKSweepTest, BudgetedRunsMatchUnboundedPrefixes) {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, BoundedKSweepTest,
                          ::testing::Values(5, 6, 7, 8, 9, 10, 11, 12, 13, 14),
+                         [](const ::testing::TestParamInfo<uint64_t>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+// ---------------------------------------------------------------------------
+// Page sweep: a NextBatch drain in pages of 1, 5 and 64 rows must equal the
+// NextInto drain of the same algorithm exactly — rank for rank, tie-break
+// ids and witnesses included, under every dioid — on the corpus's tree and
+// cycle-union cases, where Recursive binds by the page and the union merges
+// inside NextBatch.
+// ---------------------------------------------------------------------------
+
+/// `drain(algo, page)` drains one fresh session; page 0 means NextInto.
+template <typename DrainFn>
+void ExpectPagesMatchRows(const char* dioid_name, DrainFn drain) {
+  for (Algorithm algo : SweepColumns()) {
+    const std::vector<Answer> rows = drain(algo, 0);
+    for (const size_t page : {size_t{1}, size_t{5}, size_t{64}}) {
+      const std::vector<Answer> paged = drain(algo, page);
+      ASSERT_EQ(paged.size(), rows.size())
+          << dioid_name << "/" << AlgorithmName(algo) << " page=" << page;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(paged[i], rows[i])
+            << dioid_name << "/" << AlgorithmName(algo) << " page=" << page
+            << ": rank " << i << " diverges from the NextInto drain";
+      }
+    }
+  }
+}
+
+class PageSweepTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PageSweepTest, NextBatchPagesMatchNextIntoDrain) {
+  const uint64_t seed = GetParam();
+  const GeneratedCase c = MakeCase(seed);
+  SCOPED_TRACE("seed=" + std::to_string(seed) + " " + c.label + " " +
+               c.q.ToString());
+  if (c.label.starts_with("cycle")) {
+    ASSERT_EQ(RankedQuery<TropicalDioid>(c.db, c.q).plan(),
+              QueryPlan::kCycleUnion);
+  }
+  constexpr size_t kCap = 20000;
+  ExpectPagesMatchRows("min-sum", [&](Algorithm algo, size_t page) {
+    return DrainExact<TropicalDioid>(c.db, c.q, algo, kCap, 0, page);
+  });
+  ExpectPagesMatchRows("max-sum", [&](Algorithm algo, size_t page) {
+    return DrainExact<MaxPlusDioid>(c.db, c.q, algo, kCap, 0, page);
+  });
+  ExpectPagesMatchRows("min-max", [&](Algorithm algo, size_t page) {
+    return DrainRaw<MinMaxDioid>(c.db, c.q, algo, kCap, 0, page);
+  });
+  ExpectPagesMatchRows("max-times", [&](Algorithm algo, size_t page) {
+    return DrainRaw<MaxTimesDioid>(c.db, c.q, algo, kCap, 0, page);
+  });
+}
+
+// MakeCase builds a tree at seed % 5 == 2 and a cycle at seed % 5 == 3.
+INSTANTIATE_TEST_SUITE_P(TreesAndCycles, PageSweepTest,
+                         ::testing::Values(2, 3, 7, 8, 12, 13, 17, 18, 22, 23),
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "seed" + std::to_string(info.param);
                          });

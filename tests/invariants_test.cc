@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "anyk/anyk_rec.h"
 #include "anyk/batch.h"
 #include "anyk/factory.h"
+#include "anyk/prepared_query.h"
 #include "anyk/query_handle.h"
 #include "anyk/sharded_query.h"
 #include "anyk/strategies.h"
@@ -45,6 +48,60 @@ struct Fixture {
         q(ConjunctiveQuery::Path(l)),
         inst(BuildAcyclicInstance(db, q)),
         g(BuildStageGraph<TropicalDioid>(inst)) {}
+};
+
+// A 4-cycle (path relations R1..R4 closed by R4.A2 = R1.A1), prepared as a
+// cycle union of five trees: the session type Recursive and Lazy drain
+// through on the benchmark's drain-cycle4.
+struct CycleFixture {
+  Database db;
+  ConjunctiveQuery q;
+  PreparedQuery<TropicalDioid> pq;
+
+  CycleFixture(size_t n, uint64_t seed, double fanout,
+               PrepareOptions opts = {})
+      : db(MakePathDatabase(n, 4, seed, {.fanout = fanout})),
+        q(ConjunctiveQuery::Cycle(4)),
+        pq(db, q, opts) {}
+
+  std::unique_ptr<Enumerator<TropicalDioid>> Open(Algorithm algo) const {
+    return pq.NewSessionEnumerator(algo, pq.default_enum_options());
+  }
+};
+
+// A 3-star S1(x, a), S2(x, b), S3(x, c): the root state has λ = 3 child
+// slots, so Recursive ranks Cartesian products of branch rankings.
+struct StarFixture {
+  Database db;
+  ConjunctiveQuery q;
+  TDPInstance inst;
+  StageGraph<TropicalDioid> g;
+
+  explicit StarFixture(uint64_t seed, int rows = 200)
+      : db(MakeStar(seed, rows)),
+        q(StarQuery()),
+        inst(BuildAcyclicInstance(db, q)),
+        g(BuildStageGraph<TropicalDioid>(inst)) {}
+
+  static Database MakeStar(uint64_t seed, int rows) {
+    Rng rng(seed);
+    Database db;
+    for (int i = 1; i <= 3; ++i) {
+      auto& rel = db.AddRelation("S" + std::to_string(i), 2);
+      for (int r = 0; r < rows; ++r) {
+        rel.Add({rng.Uniform(0, 8), rng.Uniform(0, 30)},
+                static_cast<double>(rng.Uniform(0, 50)));
+      }
+    }
+    return db;
+  }
+  static ConjunctiveQuery StarQuery() {
+    ConjunctiveQuery q;
+    q.AddAtom("S1", {"x", "a"});
+    q.AddAtom("S2", {"x", "b"});
+    q.AddAtom("S3", {"x", "c"});
+    return q;
+  }
 };
 
 TEST(InvariantTest, Take2AtMostTwoSuccessorsPerCall) {
@@ -258,25 +315,11 @@ TEST(InvariantTest, ZeroHeapAllocationsWithoutDioidInverse) {
 TEST(InvariantTest, ZeroHeapAllocationsOnStarQuery) {
   // Star shape: the root state has λ = 3 child slots, exercising Recursive's
   // Cartesian-product rankings (per-combo rank vectors live in the arena).
-  Rng rng(81);
-  Database db;
-  for (int i = 1; i <= 3; ++i) {
-    auto& rel = db.AddRelation("S" + std::to_string(i), 2);
-    for (int r = 0; r < 200; ++r) {
-      rel.Add({rng.Uniform(0, 8), rng.Uniform(0, 30)},
-              static_cast<double>(rng.Uniform(0, 50)));
-    }
-  }
-  ConjunctiveQuery q;
-  q.AddAtom("S1", {"x", "a"});
-  q.AddAtom("S2", {"x", "b"});
-  q.AddAtom("S3", {"x", "c"});
-  TDPInstance inst = BuildAcyclicInstance(db, q);
-  StageGraph<TropicalDioid> g = BuildStageGraph<TropicalDioid>(inst);
+  const StarFixture star(81);
   ExpectZeroAllocEnumeration<TropicalDioid,
-                             RecursiveEnumerator<TropicalDioid>>(g, 2000);
+                             RecursiveEnumerator<TropicalDioid>>(star.g, 2000);
   ExpectZeroAllocEnumeration<
-      TropicalDioid, AnyKPartEnumerator<TropicalDioid, LazyStrategy>>(g,
+      TropicalDioid, AnyKPartEnumerator<TropicalDioid, LazyStrategy>>(star.g,
                                                                       2000);
 }
 
@@ -405,18 +448,65 @@ TEST(InvariantTest, StatsCollectionNeverTouchesTheGlobalHeap) {
 // across batch sizes that don't divide the output count.
 // ---------------------------------------------------------------------------
 
-TEST(InvariantTest, NextBatchContract) {
-  Fixture f(80, 4, 87, 6.0);
+/// One subject of the contract sweep: a name, a factory of fresh
+/// enumerators, the query whose witness rows recompute each weight, and the
+/// fixture's answer count, taken from one reference drain (Lazy's NextInto)
+/// so that no subject is checked only against itself.
+struct BatchSubject {
+  std::string name;
+  std::function<std::unique_ptr<Enumerator<TropicalDioid>>()> open;
+  const Database* db;
+  const ConjunctiveQuery* q;
+  size_t total;
+};
+
+size_t CountAnswers(Enumerator<TropicalDioid>* e) {
+  ResultRow<TropicalDioid> row;
   size_t total = 0;
-  {
-    auto ref = MakeEnumerator<TropicalDioid>(&f.g, Algorithm::kLazy);
-    ResultRow<TropicalDioid> row;
-    while (ref->NextInto(&row)) ++total;
-  }
-  ASSERT_GT(total, 100u) << "instance too small to exercise batching";
+  while (e->NextInto(&row)) ++total;
+  return total;
+}
+
+/// Every ranked algorithm over the path fixture and over the 4-cycle union,
+/// plus a RecursiveEnumerator built directly over the star fixture (its
+/// product-state rankings).
+std::vector<BatchSubject> BatchSubjects(const Fixture& f,
+                                        const CycleFixture& cycle,
+                                        const StarFixture& star) {
+  const size_t path_total =
+      CountAnswers(MakeEnumerator(&f.g, Algorithm::kLazy).get());
+  const size_t cycle_total = CountAnswers(cycle.Open(Algorithm::kLazy).get());
+  const size_t star_total =
+      CountAnswers(MakeEnumerator(&star.g, Algorithm::kLazy).get());
+  std::vector<BatchSubject> subjects;
   for (Algorithm algo : AllRankedAlgorithms()) {
+    subjects.push_back({std::string("path/") + AlgorithmName(algo),
+                        [&f, algo] { return MakeEnumerator(&f.g, algo); },
+                        &f.db, &f.q, path_total});
+    subjects.push_back({std::string("cycle-union/") + AlgorithmName(algo),
+                        [&cycle, algo] { return cycle.Open(algo); },
+                        &cycle.db, &cycle.q, cycle_total});
+  }
+  subjects.push_back({"star/RecursiveEnumerator",
+                      [&star] {
+                        return std::make_unique<
+                            RecursiveEnumerator<TropicalDioid>>(&star.g);
+                      },
+                      &star.db, &star.q, star_total});
+  return subjects;
+}
+
+TEST(InvariantTest, NextBatchContract) {
+  const Fixture f(80, 4, 87, 6.0);
+  const CycleFixture cycle(60, 87, 6.0);
+  const StarFixture star(87, 40);
+  for (const BatchSubject& subject : BatchSubjects(f, cycle, star)) {
+    const size_t total = subject.total;
+    ASSERT_GT(total, 100u) << subject.name
+                           << ": instance too small to exercise batching";
+    const size_t atoms = subject.q->NumAtoms();
     for (const size_t n : {1u, 3u, 64u, 1000u}) {
-      auto e = MakeEnumerator<TropicalDioid>(&f.g, algo);
+      auto e = subject.open();
       std::vector<ResultRow<TropicalDioid>> rows(n);
       size_t got_total = 0;
       double prev_weight = -std::numeric_limits<double>::infinity();
@@ -426,15 +516,16 @@ TEST(InvariantTest, NextBatchContract) {
         for (size_t b = 0; b < got; ++b) {
           // Fully bound: assignment, witness, and a weight that recomputes
           // exactly from the witness rows.
-          ASSERT_EQ(rows[b].assignment.size(), f.q.NumVars())
-              << AlgorithmName(algo) << " n=" << n;
-          ASSERT_EQ(rows[b].witness.size(), f.q.NumAtoms());
+          ASSERT_EQ(rows[b].assignment.size(), subject.q->NumVars())
+              << subject.name << " n=" << n;
+          ASSERT_EQ(rows[b].witness.size(), atoms);
           double sum = 0;
-          for (size_t a = 0; a < f.q.NumAtoms(); ++a) {
-            sum += f.db.Get(f.q.atom(a).relation).Weight(rows[b].witness[a]);
+          for (size_t a = 0; a < atoms; ++a) {
+            sum += subject.db->Get(subject.q->atom(a).relation)
+                       .Weight(rows[b].witness[a]);
           }
           ASSERT_EQ(rows[b].weight, sum)
-              << AlgorithmName(algo) << " n=" << n << " rank=" << got_total + b;
+              << subject.name << " n=" << n << " rank=" << got_total + b;
           ASSERT_GE(rows[b].weight, prev_weight) << "ranked order violated";
           prev_weight = rows[b].weight;
         }
@@ -442,42 +533,54 @@ TEST(InvariantTest, NextBatchContract) {
         if (got < n) {
           // Short return means exhausted — and stays exhausted.
           EXPECT_EQ(e->NextBatch(rows.data(), rows.size()), 0u)
-              << AlgorithmName(algo) << ": exhaustion must be sticky";
+              << subject.name << ": exhaustion must be sticky";
           ResultRow<TropicalDioid> one;
           EXPECT_FALSE(e->NextInto(&one))
-              << AlgorithmName(algo) << ": NextInto after a short NextBatch";
+              << subject.name << ": NextInto after a short NextBatch";
           EXPECT_EQ(e->NextBatch(rows.data(), rows.size()), 0u);
           break;
         }
       }
       EXPECT_EQ(got_total, total)
-          << AlgorithmName(algo) << " n=" << n
+          << subject.name << " n=" << n
           << ": a short return hid results instead of signaling exhaustion";
     }
   }
 }
 
 TEST(InvariantTest, NextBatchInterleavesWithNextInto) {
-  Fixture f(80, 4, 88, 6.0);
-  size_t total = 0;
-  {
-    auto ref = MakeEnumerator<TropicalDioid>(&f.g, Algorithm::kLazy);
-    ResultRow<TropicalDioid> row;
-    while (ref->NextInto(&row)) ++total;
-  }
-  for (Algorithm algo : AllRankedAlgorithms()) {
-    auto e = MakeEnumerator<TropicalDioid>(&f.g, algo);
+  const Fixture f(80, 4, 88, 6.0);
+  const CycleFixture cycle(60, 88, 6.0);
+  const StarFixture star(88, 40);
+  for (const BatchSubject& subject : BatchSubjects(f, cycle, star)) {
+    const size_t total = subject.total;
+    // The interleaved drain must also be the NextInto drain, row for row.
+    std::vector<ResultRow<TropicalDioid>> want;
+    {
+      auto ref = subject.open();
+      ResultRow<TropicalDioid> row;
+      while (ref->NextInto(&row)) want.push_back(row);
+    }
+    ASSERT_EQ(want.size(), total) << subject.name << ": NextInto drain";
+    auto e = subject.open();
     std::vector<ResultRow<TropicalDioid>> rows(5);
     ResultRow<TropicalDioid> one;
     size_t got_total = 0;
+    auto expect_row = [&](const ResultRow<TropicalDioid>& row) {
+      ASSERT_LT(got_total, want.size()) << subject.name;
+      EXPECT_EQ(row.weight, want[got_total].weight) << subject.name;
+      EXPECT_EQ(row.witness, want[got_total].witness)
+          << subject.name << " rank=" << got_total;
+      ++got_total;
+    };
     while (true) {
       const size_t got = e->NextBatch(rows.data(), rows.size());
-      got_total += got;
+      for (size_t b = 0; b < got; ++b) expect_row(rows[b]);
       if (got < rows.size()) break;
       if (!e->NextInto(&one)) break;
-      ++got_total;
+      expect_row(one);
     }
-    EXPECT_EQ(got_total, total) << AlgorithmName(algo);
+    EXPECT_EQ(got_total, total) << subject.name;
   }
 }
 
@@ -503,6 +606,73 @@ TEST(InvariantTest, ZeroHeapAllocationsDuringBatchedEnumeration) {
       << "batched enumeration of " << produced << " results hit the global "
       << "heap " << delta.news << " times (" << delta.bytes << " bytes)";
   EXPECT_GT(produced, 1000u) << "instance too small to be meaningful";
+}
+
+/// Warm a batched drain with one page, then require the next pages —
+/// up to `k` answers — to make zero operator-new calls.
+void ExpectZeroAllocBatchedDrain(Enumerator<TropicalDioid>* e, size_t k,
+                                 const std::string& name) {
+  std::vector<ResultRow<TropicalDioid>> rows(64);
+  ASSERT_EQ(e->NextBatch(rows.data(), rows.size()), rows.size()) << name;
+  const AllocCounts before = CurrentAllocCounts();
+  size_t produced = 0;
+  while (produced < k) {
+    const size_t got = e->NextBatch(rows.data(), rows.size());
+    produced += got;
+    if (got < rows.size()) break;
+  }
+  const AllocCounts delta = AllocDelta(before, CurrentAllocCounts());
+  EXPECT_EQ(delta.news, 0u)
+      << name << ": batched enumeration of " << produced << " results hit "
+      << "the global heap " << delta.news << " times (" << delta.bytes
+      << " bytes)";
+  EXPECT_GT(produced, 1000u) << name << ": instance too small";
+}
+
+TEST(InvariantTest, ZeroHeapAllocationsDuringBatchedRecursiveAndUnion) {
+  // Recursive's stage-wise NextBatch keeps its state matrix in the arena,
+  // and the union swaps rows between the caller's page and its one pending
+  // row per part, so once the warm-up page has sized every buffer in that
+  // rotation nothing is allocated again.
+  EnumOptions eopts;
+  eopts.arena_reserve_bytes = size_t{16} << 20;
+  const Fixture f(300, 4, 89, 8.0);
+  RecursiveEnumerator<TropicalDioid> path_rec(&f.g, eopts);
+  ExpectZeroAllocBatchedDrain(&path_rec, 3000, "path/Recursive");
+  const StarFixture star(89);
+  RecursiveEnumerator<TropicalDioid> star_rec(&star.g, eopts);
+  ExpectZeroAllocBatchedDrain(&star_rec, 3000, "star/Recursive");
+
+  PrepareOptions popts;
+  popts.enum_opts.arena_reserve_bytes = size_t{4} << 20;  // per union part
+  const CycleFixture cycle(200, 89, 6.0, popts);
+  for (Algorithm algo : AllRankedAlgorithms()) {
+    auto e = cycle.Open(algo);
+    ExpectZeroAllocBatchedDrain(
+        e.get(), 3000, std::string("cycle-union/") + AlgorithmName(algo));
+  }
+}
+
+TEST(InvariantTest, RecursiveArenaStaysBelowOneEntryPerAnswer) {
+  // Suffix sharing keeps Recursive's memory proportional to the suffixes
+  // below shared connectors, not to the answers: a full drain of a path
+  // whose connectors are shared by ~8 parents each must use fewer arena
+  // bytes than one 16-byte ranked entry (value + member + rank) per
+  // answer — the size a memoized root ranking would take on its own.
+  const Fixture f(200, 4, 90, 8.0);
+  size_t states = 0;
+  for (const auto& st : f.g.stages) states += st.NumStates();
+  RecursiveEnumerator<TropicalDioid> e(&f.g);
+  std::vector<ResultRow<TropicalDioid>> rows(64);
+  size_t answers = 0;
+  while (true) {
+    const size_t got = e.NextBatch(rows.data(), rows.size());
+    answers += got;
+    if (got < rows.size()) break;
+  }
+  ASSERT_GT(answers, 20 * states) << "too few answers per state to tell";
+  EXPECT_LT(e.arena().BytesUsed(), answers * 16)
+      << answers << " answers over " << states << " states";
 }
 
 // A query-handle stream grows its page buffer and never shrinks it: a small

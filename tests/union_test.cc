@@ -91,6 +91,60 @@ TEST(UnionTest, DedupWithTieBreakRemovesOverlap) {
   EXPECT_EQ(u.duplicates_filtered(), oracle.size());
 }
 
+// The union's merge runs in NextBatch (NextInto is a one-row batch); the
+// duplicate filter must see the same stream however the caller pulls it,
+// with and without a union k budget.
+TEST(UnionTest, DedupInPagesFiltersTheSameDuplicates) {
+  using TB = TieBreakDioid<TropicalDioid, 8>;
+  GeneratorOptions gen;
+  gen.weight_min = 0;
+  gen.weight_max = 2;
+  gen.fanout = 5.0;
+  Database db = MakePathDatabase(30, 3, 93, gen);
+  auto q = ConjunctiveQuery::Path(3);
+  TDPInstance inst = BuildAcyclicInstance(db, q);
+  auto g = BuildStageGraph<TB>(inst);
+  // Three overlapping copies of one tree.
+  auto make_union = [&](size_t k_budget) {
+    std::vector<std::unique_ptr<Enumerator<TB>>> parts;
+    parts.push_back(MakeEnumerator<TB>(&g, Algorithm::kRecursive));
+    parts.push_back(MakeEnumerator<TB>(&g, Algorithm::kTake2));
+    parts.push_back(MakeEnumerator<TB>(&g, Algorithm::kRecursive));
+    return UnionEnumerator<TB>(std::move(parts), /*dedup=*/true, k_budget);
+  };
+  const size_t out_size = testing::Oracle<TB>(db, q).size();
+  ASSERT_GT(out_size, 200u) << "instance too small to span many pages";
+  for (const size_t k_budget : {size_t{0}, size_t{37}, out_size - 1}) {
+    UnionEnumerator<TB> rows = make_union(k_budget);
+    std::vector<ResultRow<TB>> want;
+    ResultRow<TB> row;
+    while (rows.NextInto(&row)) want.push_back(row);
+    ASSERT_EQ(want.size(), k_budget == 0 ? out_size : k_budget);
+
+    UnionEnumerator<TB> paged = make_union(k_budget);
+    std::vector<ResultRow<TB>> page(5);
+    size_t got_total = 0;
+    while (true) {
+      const size_t got = paged.NextBatch(page.data(), page.size());
+      for (size_t b = 0; b < got; ++b) {
+        ASSERT_LT(got_total, want.size());
+        EXPECT_TRUE(DioidEq<TB>(page[b].weight, want[got_total].weight))
+            << "k_budget=" << k_budget << " rank " << got_total;
+        EXPECT_EQ(page[b].assignment, want[got_total].assignment);
+        EXPECT_EQ(page[b].witness, want[got_total].witness);
+        ++got_total;
+      }
+      if (got < page.size()) break;
+    }
+    EXPECT_EQ(got_total, want.size()) << "k_budget=" << k_budget;
+    EXPECT_EQ(paged.duplicates_filtered(), rows.duplicates_filtered())
+        << "k_budget=" << k_budget;
+    if (k_budget == 0) {
+      EXPECT_EQ(paged.duplicates_filtered(), 2 * out_size);
+    }
+  }
+}
+
 TEST(UnionTest, WithoutDedupEmitsDuplicates) {
   Database db = MakePathDatabase(10, 2, 92, {.fanout = 3.0});
   auto q = ConjunctiveQuery::Path(2);
