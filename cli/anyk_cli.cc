@@ -6,9 +6,11 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -110,10 +112,12 @@ struct RunReport {
 /// cross the next TT(k) checkpoint or the limit, so checkpoint timestamps
 /// stay exact at their k. The clock is read once per page, after its rows
 /// arrive and before `sink` formats them, so max_delay is measured at page
-/// granularity (the gap between consecutive page arrivals).
+/// granularity (the gap between consecutive page arrivals). `page_done`
+/// (if set) runs after every page; it throws to stop the drain.
 void DrainSerial(PageStream* stream, size_t limit,
                  const std::vector<size_t>& cps, const RowFn& sink,
-                 const Timer& timer, RunReport* rep) {
+                 const std::function<void()>& page_done, const Timer& timer,
+                 RunReport* rep) {
   // A page's arrival is stamped by its first row, before `sink` formats it.
   // The wrapper captures one reference, which keeps it inside
   // std::function's inline storage: building it allocates nothing.
@@ -144,6 +148,7 @@ void DrainSerial(PageStream* stream, size_t limit,
     }
     page.stamped = false;
     const size_t got = stream->FetchPage(want, fn);
+    if (page_done) page_done();
     if (got == 0) break;
     if (!page.stamped) page.now = timer.Seconds();
     const double now = page.now;
@@ -212,13 +217,15 @@ void DrainSessions(const QueryHandle& handle, Algorithm algo, size_t limit,
 }
 
 /// Prepare the statement into a query handle (charged to preprocessing, as
-/// in the paper) and drain it: serially through `sink`, or with
-/// `num_sessions` > 1 through that many concurrent streams. Every stream
-/// runs under `limit` (--k or the SQL LIMIT; 0 = all) as its k budget.
+/// in the paper) and drain it: serially through `sink` (calling `page_done`
+/// after each page), or with `num_sessions` > 1 through that many
+/// concurrent streams. Every stream runs under `limit` (--k or the SQL
+/// LIMIT; 0 = all) as its k budget.
 RunReport RunQuery(const Database& db, SqlStatement stmt,
                    const std::string& dioid, Algorithm algo, size_t limit,
                    const ShardedQueryOptions& qopts,
                    const std::vector<size_t>& cps, const RowFn& sink,
+                   const std::function<void()>& page_done,
                    size_t num_sessions, bool want_explain) {
   RunReport rep;
   const AllocCounts at_start = CurrentAllocCounts();
@@ -250,7 +257,7 @@ RunReport RunQuery(const Database& db, SqlStatement stmt,
   rep.preprocessing_seconds = timer.Seconds();
   const AllocCounts at_enum = CurrentAllocCounts();
   rep.preprocessing_allocs = AllocDelta(at_start, at_enum).news;
-  DrainSerial(stream.get(), limit, cps, sink, timer, &rep);
+  DrainSerial(stream.get(), limit, cps, sink, page_done, timer, &rep);
   rep.enumeration_allocs = AllocDelta(at_enum, CurrentAllocCounts()).news;
   rep.peak_rss_kb = PeakRssKb();
   if (rep.produced > 0 && (rep.checkpoints.empty() ||
@@ -673,6 +680,16 @@ int RunCli(const CliOptions& opt) {
     ANYK_CHECK(file_out.good()) << "cannot write " << opt.output_path;
   }
   std::ostream& out = opt.output_path.empty() ? std::cout : file_out;
+  // Stop at the first failed write (a closed pipe, a full disk) instead of
+  // enumerating answers nobody reads: checked once per page and after the
+  // final report.
+  const std::string destination =
+      opt.output_path.empty() ? "stdout" : opt.output_path;
+  const std::function<void()> check_output = [&out, &destination] {
+    if (!out) {
+      throw std::runtime_error("cannot write results to " + destination);
+    }
+  };
 
   // Preprocessing worker pool (--threads); null-equivalent when 1.
   ThreadPool pool(opt.threads);
@@ -753,8 +770,9 @@ int RunCli(const CliOptions& opt) {
   // as EnumOptions::k_budget (bounded O(k) candidate heaps, batch partial
   // sort) through the stream it opens, instead of merely truncating the
   // drain loop.
-  const RunReport rep = RunQuery(db, std::move(stmt), dioid, algo, limit,
-                                 qopts, cps, sink, opt.sessions, opt.explain);
+  const RunReport rep =
+      RunQuery(db, std::move(stmt), dioid, algo, limit, qopts, cps, sink,
+               check_output, opt.sessions, opt.explain);
 
   if (text) {
     out << "# plan=" << rep.plan << "\n";
@@ -766,6 +784,8 @@ int RunCli(const CliOptions& opt) {
     WriteJsonReport(out, opt, print_results, rels, columns,
                     AlgorithmName(algo), dioid, limit, results, rep);
   }
+  out.flush();
+  check_output();
   return 0;
 }
 

@@ -59,7 +59,9 @@ const char* UsageText();
 bool ParseCliArgs(int argc, char** argv, CliOptions* opt, std::string* error);
 
 /// Load, plan, enumerate, report. Assumes a throwing check handler is
-/// installed; propagates CheckError on runtime failures. Returns exit code 0.
+/// installed; propagates CheckError on runtime failures, and
+/// std::runtime_error ("cannot write results to ...") at the first page or
+/// final report whose output fails. Returns exit code 0.
 int RunCli(const CliOptions& opt);
 
 /// The complete driver: parse flags, install the throwing check handler, run,

@@ -271,14 +271,20 @@ class PreparedQuery {
       case QueryPlan::kAcyclicTree:
         return MakeEnumerator<D>(graphs_[0].get(), algo, enum_opts);
       case QueryPlan::kCycleUnion: {
-        // Each part keeps the full k budget: a single partition may supply
-        // the entire top-k. The simple-cycle decomposition is disjoint, so
-        // the union never dedups.
+        // Only trees with answers get a part. Each part keeps the full k
+        // budget: a single partition may supply the entire top-k. The
+        // simple-cycle decomposition is disjoint, so the union never dedups,
+        // and a union with one live part is that part's stream.
         std::vector<std::unique_ptr<Enumerator<D>>> parts;
-        parts.reserve(graphs_.size());
         for (const auto& g : graphs_) {
-          parts.push_back(MakeEnumerator<D>(g.get(), algo, enum_opts));
+          if (!g->Empty()) {
+            parts.push_back(MakeEnumerator<D>(g.get(), algo, enum_opts));
+          }
         }
+        if (parts.empty()) {
+          return MakeEnumerator<D>(graphs_[0].get(), algo, enum_opts);
+        }
+        if (parts.size() == 1) return std::move(parts[0]);
         return std::make_unique<UnionEnumerator<D>>(
             std::move(parts), /*dedup=*/false, enum_opts.k_budget);
       }

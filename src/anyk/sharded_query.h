@@ -30,9 +30,15 @@
 // PreparedQuery is built on the original database, so output, witnesses and
 // timings are byte-identical to the unsharded path by construction.
 //
-// Witness caveat: with S > 1, witness row ids refer to rows of the SHARD's
-// relations (partitioning renumbers rows), and tie-breaking among
-// equal-weight answers follows those shard-local ids. The answer *set* and
+// Lifetime: a ShardedPreparedQuery must not outlive the Database it was
+// built from. Its atom nodes read the source relations in place at S == 1,
+// and at S > 1 every shard borrows the source's broadcast relations
+// (storage/sharded_database.h); only partitioned relations are copied.
+//
+// Witness caveat: with S > 1, witness row ids of a partitioned relation
+// refer to rows of the SHARD's copy (partitioning renumbers rows; a
+// borrowed broadcast relation keeps the source's ids), and tie-breaking
+// among equal-weight answers follows those ids. The answer *set* and
 // its weight order are exact; within an equal-weight group the order may
 // differ from the unsharded drain (differential_test's shard sweep compares
 // canonically for precisely this reason).

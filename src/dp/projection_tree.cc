@@ -186,12 +186,6 @@ LayeredInstance BuildLayeredInstance(const Database& db,
       node.vars = q.AtomVarIds(i);
       node.table = &rel;
       node.pinned_atoms = {static_cast<uint32_t>(i)};
-      node.pin_weights.resize(rel.NumRows());
-      node.pin_rows.resize(rel.NumRows());
-      for (size_t r = 0; r < rel.NumRows(); ++r) {
-        node.pin_weights[r] = rel.Weight(r);
-        node.pin_rows[r] = static_cast<uint32_t>(r);
-      }
       lnode[i] = static_cast<int>(inst.nodes.size());
       inst.nodes.push_back(std::move(node));
     }

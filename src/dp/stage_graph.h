@@ -169,7 +169,10 @@ struct StageGraph {
   // Per stage: parent join key -> local connector id, as a flat
   // open-addressing index whose dense key ids ARE the connector ids (kept
   // after the build; the projection machinery of Section 8.1 uses it to read
-  // branch minima).
+  // branch minima). Each is sized by its keys, not its states:
+  // DistinctKeyBound caps the surviving-state count by the product of the
+  // key columns' value ranges, so a 500k-state stage over 50k parent keys
+  // keeps a 2^17-slot table, not 2^20.
   std::vector<FlatKeyIndex> conn_of_key;
 
   bool Empty() const { return stages[0].NumConns() == 0; }
@@ -269,6 +272,8 @@ StageGraph<D> BuildStageGraph(const TDPInstance& inst,
     const TDPNode& nd = inst.nodes[st.node_idx];
     const size_t rows = nd.NumRows();
     const size_t pins = nd.NumPins();
+    const double* pin_weight = nd.PinWeights();
+    const uint32_t* pin_row = nd.PinRows();  // null: row r pins row r
     const size_t slots = st.num_slots;
 
     st.row_of_state.reserve(rows);
@@ -323,9 +328,11 @@ StageGraph<D> BuildStageGraph(const TDPInstance& inst,
 
       V w = D::One();
       for (size_t p = 0; p < pins; ++p) {
+        const size_t i = r * pins + p;
         w = D::Combine(
-            w, LiftWeight<D>(nd.pin_weights[r * pins + p], nd.pinned_atoms[p],
-                             num_atoms, nd.pin_rows[r * pins + p]));
+            w, LiftWeight<D>(pin_weight[i], nd.pinned_atoms[p], num_atoms,
+                             pin_row != nullptr ? pin_row[i]
+                                                : static_cast<uint32_t>(r)));
       }
       if (hook != nullptr) {
         std::optional<V> extra = (*hook)(st.node_idx, static_cast<uint32_t>(r));
@@ -356,7 +363,8 @@ StageGraph<D> BuildStageGraph(const TDPInstance& inst,
       // (row ids are the surviving rows) into a row-major key matrix, then
       // intern row-wise.
       const size_t width = nd.key_cols.size();
-      conn_of_key[kk].Init(width, ns);
+      conn_of_key[kk].Init(width,
+                           DistinctKeyBound(*nd.table, nd.key_cols, ns));
       std::vector<Value> key_rows(ns * width);
       for (size_t c = 0; c < width; ++c) {
         GatherToStride(nd.table->ColumnData(nd.key_cols[c]),
@@ -435,8 +443,10 @@ void BindState(const StageGraph<D>& g, uint32_t stage, uint32_t state,
   }
   if (witness != nullptr) {
     const size_t pins = nd.NumPins();
+    const uint32_t* pin_row = nd.PinRows();
     for (size_t p = 0; p < pins; ++p) {
-      (*witness)[nd.pinned_atoms[p]] = nd.pin_rows[row * pins + p];
+      (*witness)[nd.pinned_atoms[p]] =
+          pin_row != nullptr ? pin_row[row * pins + p] : row;
     }
   }
 }
@@ -447,7 +457,8 @@ void BindState(const StageGraph<D>& g, uint32_t stage, uint32_t state,
 /// matrices). Per variable column the values are gathered from the column
 /// segment into `val_scratch` (one sequential write, one random read — the
 /// bind-kernel layer's core move) and then scattered into each answer's
-/// ResultRow; witnesses go the same way through the strided pin_rows gather.
+/// ResultRow; witnesses go the same way through the strided pin-row gather
+/// (or straight from the row ids when the node's pins are its own rows).
 ///
 /// Scratch is caller-owned so the enumerators can keep it in their arena
 /// (zero-global-alloc enumeration): `id_scratch` holds at least 2 * count
@@ -473,13 +484,17 @@ void BindStateBatch(const StageGraph<D>& g, uint32_t stage,
   }
   if (with_witness) {
     const size_t pins = nd.NumPins();
+    const uint32_t* pin_row = nd.PinRows();
     for (size_t p = 0; p < pins; ++p) {
       const uint32_t atom = nd.pinned_atoms[p];
-      // state_ids is dead past this point; reuse it as the witness scratch.
-      GatherU32Strided(nd.pin_rows.data(), pins, p, row_ids, count,
-                       state_ids);
+      const uint32_t* witness_rows = row_ids;
+      if (pin_row != nullptr) {
+        // state_ids is dead past this point; reuse it as the witness scratch.
+        GatherU32Strided(pin_row, pins, p, row_ids, count, state_ids);
+        witness_rows = state_ids;
+      }
       for (size_t b = 0; b < count; ++b) {
-        rows[b].witness[atom] = state_ids[b];
+        rows[b].witness[atom] = witness_rows[b];
       }
     }
   }

@@ -66,13 +66,6 @@ ThetaPathProblem<D> BuildThetaPathGraph(
     }
     node.parent = (i == 0) ? -1 : static_cast<int>(i - 1);
     node.pinned_atoms = {static_cast<uint32_t>(i)};
-    const size_t rows = relations[i]->NumRows();
-    node.pin_weights.resize(rows);
-    node.pin_rows.resize(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      node.pin_weights[r] = relations[i]->Weight(r);
-      node.pin_rows[r] = static_cast<uint32_t>(r);
-    }
     inst.nodes.push_back(std::move(node));
   }
   inst.num_vars = var_base;

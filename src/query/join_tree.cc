@@ -107,14 +107,7 @@ TDPNode MakeAtomNode(const Database& db, const ConjunctiveQuery& q,
   for (uint32_t c : distinct_cols) node.vars.push_back(var_ids[c]);
 
   if (!repeated) {
-    node.table = &rel;
-    const size_t rows = rel.NumRows();
-    node.pin_weights.resize(rows);
-    node.pin_rows.resize(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      node.pin_weights[r] = rel.Weight(r);
-      node.pin_rows[r] = static_cast<uint32_t>(r);
-    }
+    node.table = &rel;  // pins read the relation in place (TDPNode)
     return node;
   }
 

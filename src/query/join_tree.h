@@ -9,8 +9,11 @@
 //    (Section 5.3: "track the lineage for bags at the schema level ... so
 //    that relation weights are only accounted for once").
 //
-// For a plain acyclic CQ every node is one atom and pins exactly itself; for
-// cyclic queries the cycle decomposition materializes multi-atom bags.
+// For a plain acyclic CQ every node is one atom and pins exactly itself:
+// its table is the atom's relation, read in place, and so are its pins —
+// such a node stores no pin arrays at all. Atoms with repeated variables,
+// and the multi-atom bags the cycle decomposition materializes, have tables
+// whose rows are not the atoms' rows, so they store their pins.
 
 #ifndef ANYK_QUERY_JOIN_TREE_H_
 #define ANYK_QUERY_JOIN_TREE_H_
@@ -39,14 +42,30 @@ struct TDPNode {
   std::vector<uint32_t> parent_key_cols;  // matching columns in the parent
 
   // Weight pins: pinned_atoms.size() == P original atoms are charged here.
-  // For row r and pin p, pin_weights[r*P+p] is the contributed weight and
-  // pin_rows[r*P+p] the original row id in that atom's relation.
+  // For row r and pin p, PinWeights()[r*P+p] is the contributed weight and
+  // PinRows()[r*P+p] the original row id in that atom's relation. A node
+  // whose table is its one pinned atom's own relation leaves pin_weights and
+  // pin_rows empty: its weights are the table's weight column, and its pin
+  // of row r is row r itself (PinRows() is null).
   std::vector<uint32_t> pinned_atoms;
   std::vector<double> pin_weights;
   std::vector<uint32_t> pin_rows;
 
   size_t NumRows() const { return table->NumRows(); }
   size_t NumPins() const { return pinned_atoms.size(); }
+  /// Row-major pin weights (see above).
+  const double* PinWeights() const {
+    return SelfPinned() ? table->Weights().data() : pin_weights.data();
+  }
+  /// Row-major pin rows, or null when pin 0 of row r is row r.
+  const uint32_t* PinRows() const {
+    return SelfPinned() ? nullptr : pin_rows.data();
+  }
+
+ private:
+  bool SelfPinned() const {
+    return pinned_atoms.size() == 1 && pin_rows.empty();
+  }
 };
 
 /// A fully materialized T-DP input: one join tree with per-node tables.

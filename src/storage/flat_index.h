@@ -39,7 +39,11 @@ class FlatKeyIndex {
   /// Prepare for keys of `width` values, expecting about `expected_keys`
   /// distinct keys (the table grows by doubling if exceeded).
   /// `expected_keys = 0` is valid and yields the minimum 4-slot table —
-  /// relations and connector stages can legitimately be empty.
+  /// relations and connector stages can legitimately be empty. The slot
+  /// table and the key pool are both sized by this count, so callers pass
+  /// a bound on the distinct keys, not the row count: GroupIndex and the
+  /// stage-graph connector maps pass DistinctKeyBound (group_index.h),
+  /// min(rows, product of the key columns' value-range sizes).
   void Init(size_t width, size_t expected_keys) {
     width_ = width;
     key_pool_.clear();

@@ -28,6 +28,20 @@
 
 namespace anyk {
 
+/// How many keys a key table over `rel`'s `key_cols` should be sized for:
+/// min(rows, product of the key columns' value-range sizes). The range size
+/// (ColumnStats::SpanSize) bounds a column's distinct values, so the table
+/// never starts smaller than its keys need, and a sparse key domain keeps
+/// the row count. `rows` may be a subset of `rel`'s rows (the surviving
+/// states of a stage).
+inline size_t DistinctKeyBound(const Relation& rel,
+                               std::span<const uint32_t> key_cols,
+                               size_t rows) {
+  double keys = 1.0;
+  for (uint32_t c : key_cols) keys *= rel.ColumnStatsOf(c).SpanSize();
+  return keys < static_cast<double>(rows) ? static_cast<size_t>(keys) : rows;
+}
+
 /// Groups row ids of a relation by the projection onto `key_cols`.
 class GroupIndex {
  public:
@@ -42,7 +56,7 @@ class GroupIndex {
     key_cols_.assign(key_cols.begin(), key_cols.end());
     const size_t rows = rel.NumRows();
     const size_t width = key_cols_.size();
-    keys_.Init(width, rows);
+    keys_.Init(width, DistinctKeyBound(rel, key_cols_, rows));
 
     // Pass 1a: spread each key column segment into a row-major scratch
     // matrix. One sequential read per column segment (the columnar layout's

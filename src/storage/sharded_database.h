@@ -14,25 +14,33 @@
 //    variable like R(v,v) only ever matches rows whose columns agree, so any
 //    occurrence routes identically for rows that can match.)
 //  * BROADCAST — some referencing atom lacks v, or two atoms disagree on
-//    the column (self-joins like R(v,y), R(y,v)): the relation is fully
-//    replicated into every shard. Its rows join against partitioned rows,
-//    which carry the shard assignment.
+//    the column (self-joins like R(v,y), R(y,v)): every shard needs all of
+//    the relation, so every shard BORROWS the source relation
+//    (Database::Borrow) instead of copying it. Its rows join against
+//    partitioned rows, which carry the shard assignment, and a borrowed
+//    relation keeps the source's row order, so witnesses and tie order are
+//    those of the source.
 //
 // The partition variable is the one maximizing the number of partitioned
 // input rows (tie-break: more covering atoms, then lowest variable id — the
 // choice is deterministic, which keeps witnesses and bench numbers stable
 // for a fixed (query, S)). If no variable partitions anything (e.g. a pure
 // self-join chain over one physical relation where every column choice
-// conflicts), the plan DEGENERATES: shard 0 receives the whole database and
-// shards 1..S-1 stay empty — still disjoint, no speedup, never wrong.
+// conflicts), the plan DEGENERATES: shard 0 borrows every relation and
+// shards 1..S-1 hold empty ones — still disjoint, no speedup, never wrong.
 //
-// Shard construction reuses the CSV loader's staging idiom: rows are staged
-// column-major per shard and flushed through Relation::AppendColumnChunk in
-// kStageRows blocks, so the partition pass is one sequential sweep per
-// source column with bulk segment inserts on the shard side. Relations are
-// partitioned in parallel waves on the caller's ThreadPool (each (relation,
-// shard) target is a distinct Relation object; the catalog maps are
-// pre-created serially before the fan-out).
+// Shard construction copies only the partitioned relations, since each
+// shard holds a subset of their rows. It reuses the CSV loader's staging
+// idiom: rows are staged column-major per shard and flushed through
+// Relation::AppendColumnChunk in kStageRows blocks, so the partition pass
+// is one sequential sweep per source column with bulk segment inserts on
+// the shard side. Partitioned relations are split in parallel on the
+// caller's ThreadPool (each (relation, shard) target is a distinct Relation
+// object; the catalog entries, owned and borrowed, are created serially
+// before the fan-out).
+//
+// Lifetime: shards borrow from the source database, so a ShardedDatabase
+// must not outlive the Database it was built from.
 //
 // Only relations referenced by the query are sharded — the shards are
 // query-scoped execution artifacts (ShardedPreparedQuery owns one), not a
@@ -74,19 +82,28 @@ class ShardedDatabase {
                   size_t num_shards, ThreadPool* pool = nullptr)
       : shards_(num_shards == 0 ? 1 : num_shards) {
     ChoosePlan(db, q);
-    // Pre-create every relation in every shard serially (Database's catalog
-    // map is not safe to mutate concurrently), then fill the distinct
-    // Relation objects in parallel.
+    // Fill the catalogs serially (Database's catalog map is not safe to
+    // mutate concurrently): broadcast relations are borrowed, partitioned
+    // ones get an empty Relation per shard, which the parallel pass fills.
     std::vector<std::vector<Relation*>> targets(rules_.size());
     for (size_t i = 0; i < rules_.size(); ++i) {
       const Relation& src = db.Get(rules_[i].relation);
-      targets[i].reserve(shards_.size());
-      for (Database& shard : shards_) {
-        targets[i].push_back(&shard.AddRelation(src.name(), src.arity()));
+      for (size_t s = 0; s < shards_.size(); ++s) {
+        if (rules_[i].partitioned()) {
+          targets[i].push_back(
+              &shards_[s].AddRelation(src.name(), src.arity()));
+        } else if (s == 0 || !degenerate()) {
+          shards_[s].Borrow(src);
+        } else {
+          // A degenerate plan answers from shard 0 alone.
+          shards_[s].AddRelation(src.name(), src.arity());
+        }
       }
     }
     ParallelFor(pool, rules_.size(), [&](size_t i) {
-      Distribute(db.Get(rules_[i].relation), rules_[i], targets[i]);
+      if (!rules_[i].partitioned()) return;
+      Partition(db.Get(rules_[i].relation), rules_[i].partition_col,
+                targets[i]);
     });
   }
 
@@ -178,26 +195,13 @@ class ShardedDatabase {
     }
   }
 
-  /// Copy `src` into the per-shard targets according to `rule`.
-  void Distribute(const Relation& src, const ShardRule& rule,
-                  const std::vector<Relation*>& dst) const {
+  /// Route `src`'s rows into the per-shard targets by the hash of column
+  /// `partition_col`.
+  static void Partition(const Relation& src, int partition_col,
+                        const std::vector<Relation*>& dst) {
     const size_t arity = src.arity();
     const size_t rows = src.NumRows();
-    if (!rule.partitioned()) {
-      // Broadcast (or, degenerate plan, shard 0 only): one bulk chunk per
-      // replica — whole column segments, no staging.
-      std::vector<const Value*> ptrs(arity);
-      for (size_t c = 0; c < arity; ++c) ptrs[c] = src.ColumnData(c);
-      const size_t replicas = degenerate() ? 1 : dst.size();
-      for (size_t s = 0; s < replicas; ++s) {
-        dst[s]->Reserve(rows);
-        dst[s]->AppendColumnChunk(ptrs, src.Weights());
-      }
-      return;
-    }
-
-    const Value* route =
-        src.ColumnData(static_cast<size_t>(rule.partition_col));
+    const Value* route = src.ColumnData(static_cast<size_t>(partition_col));
     std::vector<const Value*> cols(arity);
     for (size_t c = 0; c < arity; ++c) cols[c] = src.ColumnData(c);
     std::span<const double> weights = src.Weights();

@@ -1,6 +1,7 @@
 // Golden-file tests for the `anyk` CLI binary: --help, ranked SQL queries
 // over the checked-in CSVs in tests/data/, the JSON report schema, and the
-// documented exit codes for malformed input (0 success, 1 runtime, 2 usage).
+// documented exit codes for malformed input and failed output (0 success,
+// 1 runtime, 2 usage).
 // The usage checks both binaries share also run against `anykd`.
 //
 // The binary paths and data directory come from CMake via ANYK_CLI_BIN /
@@ -8,7 +9,10 @@
 
 #include <sys/wait.h>
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -439,6 +443,63 @@ TEST(CliTest, UnknownRelationInQueryExitsOne) {
                       " --query \"SELECT * FROM Missing\"");
   EXPECT_EQ(run.exit_code, 1);
   EXPECT_NE(run.output.find("unknown relation"), std::string::npos);
+}
+
+TEST(CliTest, FailedOutputFileExitsOne) {
+  // /dev/full takes the open and fails every write. The five answers fit in
+  // the stream buffer, so this failure surfaces at the final flush.
+  CliRun run = RunCli(TwoRelationArgs() +
+                      " --output /dev/full --query \"SELECT * FROM R, S "
+                      "WHERE R.A2 = S.A1 ORDER BY WEIGHT ASC\"");
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("anyk: error: cannot write results to /dev/full"),
+            std::string::npos)
+      << run.output;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(CliTest, ClosedStdoutStopsTheDrain) {
+  // R(i, 0) and S(0, j) over 4000 rows each: 1.6e7 answers. The reader
+  // takes one byte and exits; with SIGPIPE ignored (an inherited
+  // disposition), every later write fails with EPIPE, and anyk must stop
+  // at the next page instead of formatting the remaining answers.
+  const std::string dir = ::testing::TempDir();
+  const std::string r = dir + "cli_wide_r.csv";
+  const std::string s = dir + "cli_wide_s.csv";
+  {
+    std::ofstream rf(r), sf(s);
+    for (int i = 0; i < 4000; ++i) {
+      rf << i << ",0," << i % 7 << "\n";
+      sf << "0," << i << "," << i % 5 << "\n";
+    }
+  }
+  const std::string code_file = dir + "cli_wide.code";
+  const std::string err_file = dir + "cli_wide.err";
+  std::remove(code_file.c_str());
+  // `timeout`: an anyk that ignored the failed writes would drain all 1.6e7
+  // answers; the bound keeps even that from hanging the suite.
+  const std::string cmd =
+      "(trap '' PIPE; timeout 120 " + std::string(ANYK_CLI_BIN) +
+      " --relation R=" + r + " --relation S=" + s +
+      " --query 'SELECT * FROM R, S WHERE R.A2 = S.A1 ORDER BY WEIGHT ASC'"
+      " 2>" + err_file + "; echo $? >" + code_file + ") | head -c 1 >/dev/null";
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_NE(std::system(cmd.c_str()), -1);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_EQ(ReadFile(code_file), "1\n");
+  EXPECT_NE(ReadFile(err_file).find(
+                "anyk: error: cannot write results to stdout"),
+            std::string::npos)
+      << ReadFile(err_file);
+  EXPECT_LT(seconds, 30.0);
 }
 
 TEST(CliTest, UnknownFlagExitsTwo) {

@@ -645,9 +645,17 @@ TEST(InvariantTest, ZeroHeapAllocationsDuringBatchedRecursiveAndUnion) {
 
   PrepareOptions popts;
   popts.enum_opts.arena_reserve_bytes = size_t{4} << 20;  // per union part
+  // About 6 rows per join value sit under the default heavy threshold
+  // sqrt(200), which would leave one live tree and no union to measure;
+  // a threshold of 6 splits the answers over several trees.
+  popts.cycle_opts.threshold_override = 6.0;
   const CycleFixture cycle(200, 89, 6.0, popts);
+  size_t live = 0;
+  for (const auto& g : cycle.pq.graphs()) live += g->Empty() ? 0 : 1;
+  ASSERT_GE(live, 2u);
   for (Algorithm algo : AllRankedAlgorithms()) {
     auto e = cycle.Open(algo);
+    ASSERT_NE(dynamic_cast<UnionEnumerator<TropicalDioid>*>(e.get()), nullptr);
     ExpectZeroAllocBatchedDrain(
         e.get(), 3000, std::string("cycle-union/") + AlgorithmName(algo));
   }

@@ -176,6 +176,37 @@ TEST(ShardedDatabaseTest, StarQueryBroadcastsLeafOnlyRelations) {
   }
 }
 
+TEST(ShardedDatabaseTest, BroadcastRelationsAreBorrowedFromTheSource) {
+  // R1(x1,x2), R2(x2,x3), R3(x3,x4) partitions on x2: R1 and R2 are split
+  // by the pinned hash into per-shard copies, and every shard reads the
+  // source's R3 itself instead of a copy of it.
+  const size_t kShards = 3;
+  Database db = MakePathDb(300, 24, 5);
+  Relation& r3 = db.AddRelation("R3", 2);
+  for (Value i = 0; i < 40; ++i) r3.Add({i % 24, i}, 0.5);
+  auto q = ConjunctiveQuery::Path(3);
+  ShardedDatabase sharded(db, q, kShards);
+  ASSERT_EQ(sharded.partition_var(), 1);
+  ASSERT_FALSE(sharded.IsPartitioned("R3"));
+  for (size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(&sharded.shard(s).Get("R3"), &db.Get("R3")) << "shard " << s;
+  }
+  for (const ShardRule& rule : sharded.rules()) {
+    if (!rule.partitioned()) continue;
+    size_t rows = 0;
+    for (size_t s = 0; s < kShards; ++s) {
+      const Relation& part = sharded.shard(s).Get(rule.relation);
+      EXPECT_NE(&part, &db.Get(rule.relation));
+      rows += part.NumRows();
+      for (size_t r = 0; r < part.NumRows(); ++r) {
+        const Value v = part.At(r, static_cast<size_t>(rule.partition_col));
+        EXPECT_EQ(ShardOf(ShardHash(v), kShards), s) << rule.relation;
+      }
+    }
+    EXPECT_EQ(rows, db.Get(rule.relation).NumRows()) << rule.relation;
+  }
+}
+
 TEST(ShardedDatabaseTest, SelfJoinColumnConflictDegenerates) {
   // R(x1,x2), R(x2,x3) over ONE physical relation: x2 binds column 1 in the
   // first atom and column 0 in the second — no consistent partition column
@@ -188,6 +219,8 @@ TEST(ShardedDatabaseTest, SelfJoinColumnConflictDegenerates) {
   EXPECT_TRUE(sharded.degenerate());
   EXPECT_EQ(sharded.partition_var(), -1);
   EXPECT_EQ(sharded.shard(0).Get("R").NumRows(), 20u);
+  // Shard 0 answers alone, over the source relation itself.
+  EXPECT_EQ(&sharded.shard(0).Get("R"), &db.Get("R"));
   for (size_t s = 1; s < 4; ++s) {
     EXPECT_EQ(sharded.shard(s).Get("R").NumRows(), 0u);
   }

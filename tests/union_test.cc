@@ -1,15 +1,18 @@
 // UT-DP union tests (paper Sections 5.2, 6.3): merged rank order across
-// trees, and consecutive-duplicate elimination under the tie-breaking dioid
-// when trees overlap.
+// trees, consecutive-duplicate elimination under the tie-breaking dioid
+// when trees overlap, and a prepared cycle union that merges only the trees
+// with answers.
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "anyk/factory.h"
+#include "anyk/prepared_query.h"
 #include "anyk/union_anyk.h"
 #include "dioid/tiebreak.h"
 #include "dioid/tropical.h"
@@ -171,6 +174,70 @@ TEST(UnionTest, EmptyPartsHandled) {
   std::vector<std::unique_ptr<Enumerator<TropicalDioid>>> parts;
   UnionEnumerator<TropicalDioid> empty(std::move(parts));
   EXPECT_FALSE(empty.Next().has_value());
+}
+
+// Trees of a prepared cycle union that hold at least one answer.
+size_t LiveTrees(const PreparedQuery<TropicalDioid>& pq) {
+  size_t live = 0;
+  for (const auto& g : pq.graphs()) live += g->Empty() ? 0 : 1;
+  return live;
+}
+
+bool OpensAUnion(const PreparedQuery<TropicalDioid>& pq, Algorithm algo) {
+  EnumerationSession<TropicalDioid> session = pq.NewSession(algo);
+  return dynamic_cast<UnionEnumerator<TropicalDioid>*>(
+             session.enumerator()) != nullptr;
+}
+
+size_t DrainCount(const PreparedQuery<TropicalDioid>& pq, Algorithm algo) {
+  EnumerationSession<TropicalDioid> session = pq.NewSession(algo);
+  std::vector<ResultRow<TropicalDioid>> rows(64);
+  size_t count = 0;
+  while (true) {
+    const size_t got = session.NextBatch(rows.data(), rows.size());
+    count += got;
+    if (got < rows.size()) return count;
+  }
+}
+
+TEST(UnionTest, CycleUnionOpensOnlyLiveParts) {
+  // A uniform 4-cycle (about 4 rows per join value, far under the heavy
+  // threshold sqrt(n) = 20) answers from its all-light tree alone: the
+  // session runs that tree's enumerator with no union around it.
+  const auto q = ConjunctiveQuery::Cycle(4);
+  const Database uniform = MakePathDatabase(400, 4, 3, {.fanout = 4.0});
+  const PreparedQuery<TropicalDioid> one(uniform, q);
+  ASSERT_EQ(one.plan(), QueryPlan::kCycleUnion);
+  ASSERT_EQ(one.NumTrees(), 5u);
+  ASSERT_EQ(LiveTrees(one), 1u);
+  for (Algorithm algo : AllRankedAlgorithms()) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    EXPECT_FALSE(OpensAUnion(one, algo));
+    EXPECT_EQ(static_cast<double>(DrainCount(one, algo)),
+              one.decision().stats.output_count);
+  }
+
+  // The worst-case cycle joins everything through value 0, which is heavy
+  // in every relation: several trees answer, and they still merge.
+  const Database worst = MakeWorstCaseCycleDatabase(200, 4, 5);
+  const PreparedQuery<TropicalDioid> several(worst, q);
+  ASSERT_GE(LiveTrees(several), 2u);
+  for (Algorithm algo : AllRankedAlgorithms()) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    EXPECT_TRUE(OpensAUnion(several, algo));
+    EXPECT_EQ(static_cast<double>(DrainCount(several, algo)),
+              several.decision().stats.output_count);
+  }
+
+  // No answers at all: the session is the first tree's (empty) stream.
+  Database none;
+  for (int i = 1; i <= 4; ++i) {
+    none.AddRelation("R" + std::to_string(i), 2).Add({i, 10 * i}, 1.0);
+  }
+  const PreparedQuery<TropicalDioid> empty(none, q);
+  ASSERT_EQ(LiveTrees(empty), 0u);
+  EXPECT_FALSE(OpensAUnion(empty, Algorithm::kLazy));
+  EXPECT_EQ(DrainCount(empty, Algorithm::kLazy), 0u);
 }
 
 }  // namespace
