@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,10 +29,6 @@ class OwningEnumerator : public Enumerator<D> {
   OwningEnumerator(const Database& db, const ConjunctiveQuery& q,
                    typename RankedQuery<D>::Options opts)
       : rq_(db, q, opts) {}
-  std::optional<ResultRow<D>> Next() override { return rq_.Next(); }
-  bool NextInto(ResultRow<D>* row) override {
-    return rq_.enumerator()->NextInto(row);
-  }
   size_t NextBatch(ResultRow<D>* rows, size_t n) override {
     return rq_.enumerator()->NextBatch(rows, n);
   }

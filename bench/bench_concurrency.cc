@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "anyk/prepared_query.h"
+#include "anyk/query_handle.h"
 #include "dioid/tropical.h"
 #include "harness.h"
 #include "util/alloc_stats.h"
@@ -67,10 +68,8 @@ void RunConcurrency() {
         Timer session_timer;
         EnumerationSession<TropicalDioid> sess =
             pq.NewSession(Algorithm::kLazy);
-        ResultRow<TropicalDioid> row;
-        size_t got = 0;
-        while (got < max_k && sess.NextInto(&row)) ++got;
-        produced[t] = got;
+        std::vector<ResultRow<TropicalDioid>> page(kPageRows);
+        produced[t] = DrainInPages(sess.enumerator(), max_k, &page);
         ttl[t] = session_timer.Seconds();
       });
     }

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -52,10 +51,6 @@ int main(int argc, char** argv) {
             : inst(BuildAcyclicInstance(db, q)),
               g(BuildStageGraph<Lex>(inst)) {
           e = MakeEnumerator<Lex>(&g, Algorithm::kTake2);
-        }
-        std::optional<ResultRow<Lex>> Next() override { return e->Next(); }
-        bool NextInto(ResultRow<Lex>* row) override {
-          return e->NextInto(row);
         }
         size_t NextBatch(ResultRow<Lex>* rows, size_t n) override {
           return e->NextBatch(rows, n);

@@ -24,6 +24,7 @@
 
 #include "anyk/factory.h"
 #include "anyk/prepared_query.h"
+#include "anyk/query_handle.h"
 #include "bench_common.h"
 #include "query/cq.h"
 #include "util/timer.h"
@@ -53,17 +54,16 @@ size_t RepsFor(size_t k) {
 
 /// Cumulative TT(k) of `reps` requests against one strategy of the shared
 /// auto-planned prepared query (session construction is part of the
-/// request, as in serving).
+/// request, as in serving), each drained in pages as the binaries do.
 double MeasureStrategy(const PreparedQuery<D>& pq, Algorithm algo, size_t k,
                        size_t reps) {
   const size_t cap = k == 0 ? std::numeric_limits<size_t>::max() : k;
-  ResultRow<D> row;
+  std::vector<ResultRow<D>> page(kPageRows);
   double total = 0;
   for (size_t r = 0; r < reps; ++r) {
     Timer timer;
     EnumerationSession<D> sess = pq.NewSession(algo);
-    size_t got = 0;
-    while (got < cap && sess.NextInto(&row)) ++got;
+    DrainInPages(sess.enumerator(), cap, &page);
     total += timer.Seconds();
   }
   return total;

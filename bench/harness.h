@@ -128,6 +128,22 @@ struct TTSeries {
   size_t peak_rss_kb = 0;     // process peak RSS at the end of the series
 };
 
+/// Drain up to `cap` answers the way `anyk` and `anykd` page a stream: the
+/// first answer alone, then pages of `page->size()` rows (QueryHandle's
+/// kPageRows). Returns the answers drained.
+template <typename D>
+size_t DrainInPages(Enumerator<D>* e, size_t cap,
+                    std::vector<ResultRow<D>>* page) {
+  size_t got = 0;
+  for (size_t want = 1; got < cap; want = page->size()) {
+    const size_t n = std::min(want, cap - got);
+    const size_t pulled = e->NextBatch(page->data(), n);
+    got += pulled;
+    if (pulled < n) break;  // short return == exhausted
+  }
+  return got;
+}
+
 /// Run `make()` (preprocessing) + a drain until `max_k` results or
 /// exhaustion, recording cumulative time at each checkpoint plus the
 /// allocation counts of both phases (the preprocessing/enumeration split the

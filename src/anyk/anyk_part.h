@@ -35,7 +35,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -76,15 +75,10 @@ class AnyKPartEnumerator : public Enumerator<D> {
         prefix_pool_(ArenaAllocator<PrefixNode>(&arena_)),
         succ_buf_(ArenaAllocator<uint32_t>(&arena_)),
         frontier_(ArenaAllocator<std::pair<uint32_t, uint32_t>>(&arena_)),
-        batch_states_(ArenaAllocator<uint32_t>(&arena_)),
-        batch_weights_(ArenaAllocator<V>(&arena_)),
-        batch_ids_(ArenaAllocator<uint32_t>(&arena_)),
-        batch_vals_(ArenaAllocator<Value>(&arena_)) {
+        page_(ArenaAllocator<uint32_t>(&arena_)) {
     arena_.Reserve(opts_.arena_reserve_bytes);
     cand_.SetBudget(opts_.k_budget);
-    const size_t L = g_->stages.size();
-    states_.assign(L, 0);
-    frontier_.reserve(L + 1);
+    frontier_.reserve(g_->stages.size() + 1);
     if (!g_->Empty()) {
       const uint32_t top = strategy_.Top(0, StageGraph<D>::kRootConn);
       const uint32_t pos =
@@ -94,48 +88,15 @@ class AnyKPartEnumerator : public Enumerator<D> {
     }
   }
 
-  bool NextInto(ResultRow<D>* row) override {
-    if (!Advance()) return false;
-    Assemble(cur_total_, row);
-    return true;
-  }
-
-  /// Batched pull: pop up to `n` answers first (stashing each answer's stage
-  /// states and weight in arena scratch), then bind variables stage-wise
-  /// across the whole batch via the bind kernels — per stage, one strided
-  /// extraction of the batch's state column, one row-id gather, and one
-  /// column-segment gather per variable (BindStateBatch), instead of
-  /// re-touching all L stages tuple-at-a-time per answer. Short return ⇒
+  /// Pop up to `n` answers, each written straight into its row of the
+  /// page's state matrix, then bind the page (RankThenBind). Short return ⇒
   /// exhausted (the only early exit is Advance() == false); see the
   /// contract in anyk/enumerator.h.
   size_t NextBatch(ResultRow<D>* rows, size_t n) override {
-    const size_t L = g_->stages.size();
-    batch_states_.clear();
-    batch_weights_.clear();
-    size_t produced = 0;
-    while (produced < n && Advance()) {
-      batch_states_.insert(batch_states_.end(), states_.begin(),
-                           states_.end());
-      batch_weights_.push_back(cur_total_);
-      ++produced;
-    }
-    for (size_t b = 0; b < produced; ++b) {
-      PrepareRow(batch_weights_[b], &rows[b]);
-    }
-    batch_ids_.resize(2 * produced);
-    batch_vals_.resize(produced);
-    for (uint32_t j = 0; j < L; ++j) {
-      BindStateBatch(*g_, j, batch_states_.data(), L, j, produced, rows,
-                     opts_.with_witness, batch_ids_.data(),
-                     batch_vals_.data());
-    }
-    return produced;
-  }
-
-  std::optional<ResultRow<D>> Next() override {
-    ResultRow<D> row;
-    if (!NextInto(&row)) return std::nullopt;
-    return row;
+    return RankThenBind(*g_, opts_.with_witness, rows, n, &page_,
+                        [this](uint32_t* states, V* total) {
+                          return Advance(states, total);
+                        });
   }
 
   const AnyKPartStats& stats() const { return stats_; }
@@ -165,13 +126,14 @@ class AnyKPartEnumerator : public Enumerator<D> {
   };
 
   /// Pop the next-lightest candidate and expand it: reconstruct its prefix
-  /// into states_, assign the remaining stages with top choices, and spawn
-  /// the successor subspaces. On return states_ holds the full solution and
-  /// cur_total_ its weight; false when the output — or the k-budget — is
-  /// exhausted. When the budget says this is the final answer, successor
-  /// generation (and the no-inverse frontier bookkeeping that only feeds
-  /// it) is skipped entirely: nothing after this answer will be emitted.
-  bool Advance() {
+  /// into `states`, assign the remaining stages with top choices, and spawn
+  /// the successor subspaces. On return states[0..L) holds the full
+  /// solution and *total its weight; false when the output — or the
+  /// k-budget — is exhausted. When the budget says this is the final
+  /// answer, successor generation (and the no-inverse frontier bookkeeping
+  /// that only feeds it) is skipped entirely: nothing after this answer
+  /// will be emitted.
+  bool Advance(uint32_t* states, V* total) {
     if (opts_.k_budget != 0 && emitted_ >= opts_.k_budget) return false;
     if (cand_.Empty()) return false;
     const size_t L = g_->stages.size();
@@ -180,20 +142,20 @@ class AnyKPartEnumerator : public Enumerator<D> {
     ++emitted_;
     skip_generation_ = opts_.k_budget != 0 && emitted_ >= opts_.k_budget;
 
-    // Reconstruct the assigned prefix σ1..σ_{r-1}.
-    states_.assign(L, 0);
+    // Reconstruct the assigned prefix σ1..σ_{r-1}; the expansion below
+    // writes the other stages.
     {
       uint32_t p = c.prefix;
       uint32_t idx = c.dev_stage;
       while (p != kNoPrefix) {
-        states_[--idx] = prefix_pool_[p].state;
+        states[--idx] = prefix_pool_[p].state;
         p = prefix_pool_[p].parent;
       }
       ANYK_DCHECK(idx == 0);
     }
 
     if constexpr (!D::kHasInverse) {
-      if (!skip_generation_) RebuildFrontier(c.dev_stage);
+      if (!skip_generation_) RebuildFrontier(c.dev_stage, states);
     }
 
     // Deviations of the popped candidate within its own subspace (the first
@@ -207,19 +169,19 @@ class AnyKPartEnumerator : public Enumerator<D> {
     // build anything for), spawning one subspace per stage — except for
     // the final budgeted answer.
     uint32_t prefix = c.prefix;
-    AssignStage(c.dev_stage, c.conn, c.choice, &prefix);
+    AssignStage(c.dev_stage, c.conn, c.choice, &prefix, states);
     for (uint32_t j = c.dev_stage + 1; j < L; ++j) {
       const auto& stj = g_->stages[j];
       const auto& par = g_->stages[stj.parent_stage];
       const uint32_t conn =
-          par.conn_of_state[states_[stj.parent_stage] * par.num_slots +
+          par.conn_of_state[states[stj.parent_stage] * par.num_slots +
                             stj.parent_slot];
       const uint32_t top = strategy_.Top(j, conn);
       if (!skip_generation_) GenerateCandidates(j, conn, top, c.total, prefix);
-      AssignStage(j, conn, top, &prefix);
+      AssignStage(j, conn, top, &prefix, states);
     }
 
-    cur_total_ = c.total;
+    *total = c.total;
     return true;
   }
 
@@ -229,14 +191,15 @@ class AnyKPartEnumerator : public Enumerator<D> {
     stats_.max_cand_size = std::max(stats_.max_cand_size, cand_.Size());
   }
 
-  /// Record the chosen state for `stage` (by absolute member position) and
-  /// append it to the prefix.
-  void CommitStage(uint32_t stage, uint32_t pos, uint32_t* prefix) {
+  /// Record the chosen state for `stage` (by absolute member position) in
+  /// `states` and append it to the prefix.
+  void CommitStage(uint32_t stage, uint32_t pos, uint32_t* prefix,
+                   uint32_t* states) {
     const auto& st = g_->stages[stage];
     const uint32_t state = st.members[pos];
-    states_[stage] = state;
+    states[stage] = state;
     // The prefix pool and frontier only feed candidate generation, which the
-    // final budgeted answer skips — states_ alone drives assembly.
+    // final budgeted answer skips — `states` alone drives the bind.
     if (skip_generation_) return;
     prefix_pool_.push_back(PrefixNode{*prefix, state});
     *prefix = static_cast<uint32_t>(prefix_pool_.size() - 1);
@@ -256,8 +219,9 @@ class AnyKPartEnumerator : public Enumerator<D> {
 
   /// Record the chosen state for `stage` via the strategy's choice handle.
   void AssignStage(uint32_t stage, uint32_t conn, uint32_t choice,
-                   uint32_t* prefix) {
-    CommitStage(stage, strategy_.MemberPos(stage, conn, choice), prefix);
+                   uint32_t* prefix, uint32_t* states) {
+    CommitStage(stage, strategy_.MemberPos(stage, conn, choice), prefix,
+                states);
   }
 
   /// Push one candidate per successor of `cur_choice` at (stage, conn).
@@ -284,11 +248,11 @@ class AnyKPartEnumerator : public Enumerator<D> {
 
   // ---- no-inverse fallback: explicit frontier of pending connectors ----
 
-  void RebuildFrontier(uint32_t dev_stage) {
+  void RebuildFrontier(uint32_t dev_stage, const uint32_t* states) {
     frontier_.clear();
     assigned_weight_ = D::One();
     for (uint32_t i = 0; i < dev_stage; ++i) {
-      assigned_weight_ = D::Combine(assigned_weight_, g_->stages[i].weight[states_[i]]);
+      assigned_weight_ = D::Combine(assigned_weight_, g_->stages[i].weight[states[i]]);
     }
     // Pending = stages whose parent is assigned but that are not assigned
     // themselves; stage 0's connector is the root connector.
@@ -303,8 +267,8 @@ class AnyKPartEnumerator : public Enumerator<D> {
           static_cast<uint32_t>(stj.parent_stage) < dev_stage) {
         const auto& par = g_->stages[stj.parent_stage];
         frontier_.push_back(
-            {j, par.conn_of_state[states_[stj.parent_stage] * par.num_slots +
-                                  stj.parent_slot]});
+            {j, par.conn_of_state[states[stj.parent_stage] * par.num_slots +
+                                 stj.parent_slot]});
       }
     }
   }
@@ -331,25 +295,6 @@ class AnyKPartEnumerator : public Enumerator<D> {
     return base;
   }
 
-  /// Size the row's reusable buffers and set the weight (no binding yet).
-  void PrepareRow(const V& total, ResultRow<D>* row) {
-    row->weight = total;
-    row->assignment.assign(g_->instance->num_vars, 0);
-    if (opts_.with_witness) {
-      row->witness.assign(g_->instance->num_atoms, kNoRow);
-    } else {
-      row->witness.clear();
-    }
-  }
-
-  void Assemble(const V& total, ResultRow<D>* row) {
-    PrepareRow(total, row);
-    for (uint32_t j = 0; j < g_->stages.size(); ++j) {
-      BindState(*g_, j, states_[j], &row->assignment,
-                opts_.with_witness ? &row->witness : nullptr);
-    }
-  }
-
   const StageGraph<D>* g_;
   EnumOptions opts_;
   // The arena must precede every member that draws from it.
@@ -357,15 +302,10 @@ class AnyKPartEnumerator : public Enumerator<D> {
   Strategy<D> strategy_;
   PQT<Candidate, CandLess, ArenaAllocator<Candidate>> cand_;
   ArenaVector<PrefixNode> prefix_pool_;  // persistent prefix parent-pointers
-  std::vector<uint32_t> states_;         // sized L at construction
   ArenaVector<uint32_t> succ_buf_;
   ArenaVector<std::pair<uint32_t, uint32_t>> frontier_;  // (stage, conn)
-  ArenaVector<uint32_t> batch_states_;  // NextBatch scratch: L states per row
-  ArenaVector<V> batch_weights_;
-  ArenaVector<uint32_t> batch_ids_;  // BindStateBatch id scratch (2 per row)
-  ArenaVector<Value> batch_vals_;    // BindStateBatch value scratch
+  AnswerPage<D, ArenaAllocator> page_;  // NextBatch: the ranked page
   V assigned_weight_ = D::One();
-  V cur_total_{};            // weight of the answer Advance() just produced
   size_t emitted_ = 0;       // answers popped so far (budget accounting)
   bool skip_generation_ = false;  // true while expanding the final answer
   AnyKPartStats stats_;

@@ -44,10 +44,9 @@
 //    of ConnSecond). AnyKRecStats::conns_initialized counts the rankings
 //    materialized this way, the root included — not the connectors touched.
 //
-// NextBatch ranks up to n answers first, recording each answer's state at
-// every stage in an arena-backed L-strided matrix, then binds variables
-// stage-wise across the batch (BindStateBatch), as ANYK-PART does; NextInto
-// runs the same ranking step and binds one row, so the two interleave.
+// NextBatch ranks up to n answers, each written straight into its row of
+// an arena-backed L-strided state matrix, then binds the page
+// (RankThenBind, dp/stage_graph.h), as ANYK-PART and Batch do.
 //
 // Threading: suffix rankings are memoization *per enumerator*, not per
 // graph — conn_rank_/state_rank_ are members, the shared StageGraph is
@@ -61,7 +60,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -96,10 +94,7 @@ class RecursiveEnumerator : public Enumerator<D> {
                                            : opts.arena_block_bytes),
         conn_rank_(g->total_connectors, nullptr),
         root_heap_(EntryLess{}, ArenaAllocator<ConnEntry>(&arena_)),
-        batch_states_(ArenaAllocator<uint32_t>(&arena_)),
-        batch_weights_(ArenaAllocator<V>(&arena_)),
-        batch_ids_(ArenaAllocator<uint32_t>(&arena_)),
-        batch_vals_(ArenaAllocator<Value>(&arena_)) {
+        page_(ArenaAllocator<uint32_t>(&arena_)) {
     arena_.Reserve(opts_.arena_reserve_bytes);
     // Flat offset table for product-state rankings: stages with >= 2 child
     // slots get a dense block of StateRank slots, one per state.
@@ -112,52 +107,17 @@ class RecursiveEnumerator : public Enumerator<D> {
       }
     }
     state_rank_.assign(base, nullptr);
-    states_.assign(g_->stages.size(), 0);
   }
 
-  bool NextInto(ResultRow<D>* row) override {
-    if (!Advance()) return false;
-    PrepareRow(root_cur_.val, row);
-    for (uint32_t j = 0; j < g_->stages.size(); ++j) {
-      BindState(*g_, j, states_[j], &row->assignment,
-                opts_.with_witness ? &row->witness : nullptr);
-    }
-    return true;
-  }
-
-  /// Batched pull: rank up to `n` answers first (stashing each answer's
-  /// stage states and weight in arena scratch), then bind variables
-  /// stage-wise across the whole batch (BindStateBatch). Short return ⇒
+  /// Rank up to `n` answers, each written straight into its row of the
+  /// page's state matrix, then bind the page (RankThenBind). Short return ⇒
   /// exhausted (the only early exit is Advance() == false); see the
   /// contract in anyk/enumerator.h.
   size_t NextBatch(ResultRow<D>* rows, size_t n) override {
-    const size_t L = g_->stages.size();
-    batch_states_.clear();
-    batch_weights_.clear();
-    size_t produced = 0;
-    while (produced < n && Advance()) {
-      batch_states_.insert(batch_states_.end(), states_.begin(),
-                           states_.end());
-      batch_weights_.push_back(root_cur_.val);
-      ++produced;
-    }
-    for (size_t b = 0; b < produced; ++b) {
-      PrepareRow(batch_weights_[b], &rows[b]);
-    }
-    batch_ids_.resize(2 * produced);
-    batch_vals_.resize(produced);
-    for (uint32_t j = 0; j < L; ++j) {
-      BindStateBatch(*g_, j, batch_states_.data(), L, j, produced, rows,
-                     opts_.with_witness, batch_ids_.data(),
-                     batch_vals_.data());
-    }
-    return produced;
-  }
-
-  std::optional<ResultRow<D>> Next() override {
-    ResultRow<D> row;
-    if (!NextInto(&row)) return std::nullopt;
-    return row;
+    return RankThenBind(*g_, opts_.with_witness, rows, n, &page_,
+                        [this](uint32_t* states, V* total) {
+                          return Advance(states, total);
+                        });
   }
 
   const AnyKRecStats& stats() const { return stats_; }
@@ -262,10 +222,10 @@ class RecursiveEnumerator : public Enumerator<D> {
   }
 
   /// Rank the next answer: advance the root ranking one step (the ranking
-  /// is seeded on the first call) and record the answer's state at every
-  /// stage in states_; root_cur_.val is its weight. False when the output —
+  /// is seeded on the first call), write the answer's state at every stage
+  /// into states[0..L) and its weight into *total. False when the output —
   /// or the k budget — is exhausted, and from then on.
-  bool Advance() {
+  bool Advance(uint32_t* states, V* total) {
     if (g_->Empty()) return false;
     // Budget: rank k_budget is the last one ever materialized; past it the
     // session is exhausted by definition.
@@ -279,7 +239,9 @@ class RecursiveEnumerator : public Enumerator<D> {
     }
     ++k_;
     root_cur_ = root_heap_.Min();  // peek defines the next rank
-    WalkState(0, g_->stages[0].members[root_cur_.member_pos], root_cur_.rank);
+    WalkState(0, g_->stages[0].members[root_cur_.member_pos], root_cur_.rank,
+              states);
+    *total = root_cur_.val;
     return true;
   }
 
@@ -387,10 +349,11 @@ class RecursiveEnumerator : public Enumerator<D> {
     return true;
   }
 
-  /// Record `state` in states_ and recurse into the children realizing its
+  /// Record `state` in `states` and recurse into the children realizing its
   /// rank-j completion (everything is already materialized).
-  void WalkState(uint32_t stage, uint32_t state, uint32_t j) {
-    states_[stage] = state;
+  void WalkState(uint32_t stage, uint32_t state, uint32_t j,
+                 uint32_t* states) {
+    states[stage] = state;
     const auto& st = g_->stages[stage];
     const uint32_t slots = st.num_slots;
     if (slots == 0) return;
@@ -400,7 +363,7 @@ class RecursiveEnumerator : public Enumerator<D> {
       const bool ok = EnsureConnRank(cs, conn, j);  // cheap if materialized
       ANYK_CHECK(ok);
       const ConnEntry e = RankedEntry(cs, conn, j);
-      WalkState(cs, g_->stages[cs].members[e.member_pos], e.rank);
+      WalkState(cs, g_->stages[cs].members[e.member_pos], e.rank, states);
       return;
     }
     V dummy;
@@ -413,18 +376,7 @@ class RecursiveEnumerator : public Enumerator<D> {
       const bool ok = EnsureConnRank(cs, conn, c.ranks[b]);
       ANYK_CHECK(ok);
       const ConnEntry e = RankedEntry(cs, conn, c.ranks[b]);
-      WalkState(cs, g_->stages[cs].members[e.member_pos], e.rank);
-    }
-  }
-
-  /// Size the row's reusable buffers and set the weight (no binding yet).
-  void PrepareRow(const V& total, ResultRow<D>* row) {
-    row->weight = total;
-    row->assignment.assign(g_->instance->num_vars, 0);
-    if (opts_.with_witness) {
-      row->witness.assign(g_->instance->num_atoms, kNoRow);
-    } else {
-      row->witness.clear();
+      WalkState(cs, g_->stages[cs].members[e.member_pos], e.rank, states);
     }
   }
 
@@ -443,12 +395,8 @@ class RecursiveEnumerator : public Enumerator<D> {
   std::vector<StateRank*> state_rank_;     // flat, only λ >= 2 stages
   EntryHeap root_heap_;                    // the root ranking: heap + peek
   ConnEntry root_cur_{};                   // rank k_ of the root connector
-  std::vector<uint32_t> states_;           // the current answer, per stage
-  ArenaVector<uint32_t> batch_states_;  // NextBatch scratch: L states per row
-  ArenaVector<V> batch_weights_;
-  ArenaVector<uint32_t> batch_ids_;  // BindStateBatch id scratch (2 per row)
-  ArenaVector<Value> batch_vals_;    // BindStateBatch value scratch
-  uint32_t k_ = 0;                   // root ranks produced so far
+  AnswerPage<D, ArenaAllocator> page_;     // NextBatch: the ranked page
+  uint32_t k_ = 0;                         // root ranks produced so far
   AnyKRecStats stats_;
 };
 

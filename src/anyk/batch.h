@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
-#include <optional>
 #include <vector>
 
 #include "anyk/enumerator.h"
@@ -35,59 +34,23 @@ class BatchEnumerator : public Enumerator<D> {
   explicit BatchEnumerator(const StageGraph<D>* g, BatchOptions opts = {})
       : g_(g), opts_(opts) {}
 
-  bool NextInto(ResultRow<D>* row) override {
-    if (!materialized_) Materialize();
-    if (cursor_ >= order_.size()) return false;
-    const size_t L = g_->stages.size();
-    const uint32_t idx = order_[cursor_++];
-    PrepareRow(weights_[idx], row);
-    for (uint32_t j = 0; j < L; ++j) {
-      BindState(*g_, j, solutions_[static_cast<size_t>(idx) * L + j],
-                &row->assignment,
-                opts_.enum_opts.with_witness ? &row->witness : nullptr);
-    }
-    return true;
-  }
-
-  /// Batched pull, bound stage-wise through the bind kernels: the batch's
-  /// rank window of `order_` becomes a dense state matrix (one strided
-  /// gather per stage out of the materialized solutions), then each stage
-  /// binds its whole column of the batch in one BindStateBatch pass. Short
-  /// return ⇒ the rank order is exhausted (contract in anyk/enumerator.h);
-  /// the only possible short count is the tail min() below. Scratch buffers
-  /// are plain members reused across calls (no allocation after warm-up;
-  /// the batch variant's enumeration phase is already post-materialize).
+  /// Rank by copying the next answers of the sorted order (one contiguous
+  /// L-copy of states per answer out of the materialized solutions) into
+  /// the page, then bind it (RankThenBind). Short return ⇒ the rank order
+  /// is exhausted (contract in anyk/enumerator.h). The page is a plain
+  /// member reused across calls (no allocation after warm-up; the batch
+  /// variant's enumeration phase is already post-materialize).
   size_t NextBatch(ResultRow<D>* rows, size_t n) override {
     if (!materialized_) Materialize();
     const size_t L = g_->stages.size();
-    const size_t produced = std::min(n, order_.size() - cursor_);
-    for (size_t b = 0; b < produced; ++b) {
-      PrepareRow(weights_[order_[cursor_ + b]], &rows[b]);
-    }
-    // Flatten the batch's states in rank order: batch_states_[b * L + j] =
-    // answer b's state at stage j (one contiguous L-copy per answer out of
-    // the materialized solutions).
-    batch_states_.resize(produced * L);
-    batch_ids_.resize(2 * produced);
-    batch_vals_.resize(produced);
-    const uint32_t* order_win = order_.data() + cursor_;
-    for (size_t b = 0; b < produced; ++b) {
-      std::copy_n(solutions_.data() + static_cast<size_t>(order_win[b]) * L,
-                  L, batch_states_.data() + b * L);
-    }
-    for (uint32_t j = 0; j < L; ++j) {
-      BindStateBatch(*g_, j, batch_states_.data(), L, j, produced, rows,
-                     opts_.enum_opts.with_witness, batch_ids_.data(),
-                     batch_vals_.data());
-    }
-    cursor_ += produced;
-    return produced;
-  }
-
-  std::optional<ResultRow<D>> Next() override {
-    ResultRow<D> row;
-    if (!NextInto(&row)) return std::nullopt;
-    return row;
+    return RankThenBind(*g_, opts_.enum_opts.with_witness, rows, n, &page_,
+                        [this, L](uint32_t* states, V* weight) {
+                          if (cursor_ >= order_.size()) return false;
+                          const size_t idx = order_[cursor_++];
+                          std::copy_n(solutions_.data() + idx * L, L, states);
+                          *weight = weights_[idx];
+                          return true;
+                        });
   }
 
   /// Number of output tuples (forces materialization).
@@ -155,23 +118,6 @@ class BatchEnumerator : public Enumerator<D> {
     }
   }
 
-  /// Size the row's reusable buffers and set the weight. `resize` + fill
-  /// (never a fresh `assign` onto a moved-from vector) so the buffers keep
-  /// their capacity across calls and the batch algorithm shares the
-  /// zero-global-alloc enumeration property of the any-k hot path
-  /// (invariants_test::BatchEnumerationIsAllocationFreeAfterMaterialize).
-  void PrepareRow(const V& weight, ResultRow<D>* row) {
-    row->weight = weight;
-    row->assignment.resize(g_->instance->num_vars);
-    std::fill(row->assignment.begin(), row->assignment.end(), 0);
-    if (opts_.enum_opts.with_witness) {
-      row->witness.resize(g_->instance->num_atoms);
-      std::fill(row->witness.begin(), row->witness.end(), kNoRow);
-    } else {
-      row->witness.clear();
-    }
-  }
-
   void SetRange(int j, const std::vector<uint32_t>& states,
                 std::vector<uint32_t>* pos, std::vector<uint32_t>* end) {
     const auto& st = g_->stages[j];
@@ -194,10 +140,7 @@ class BatchEnumerator : public Enumerator<D> {
   std::vector<V> weights_;
   std::vector<uint32_t> order_;
   size_t cursor_ = 0;
-  // NextBatch scratch, reused across calls (capacity sticks after warm-up).
-  std::vector<uint32_t> batch_states_;
-  std::vector<uint32_t> batch_ids_;
-  std::vector<Value> batch_vals_;
+  AnswerPage<D> page_;  // NextBatch scratch; capacity sticks after warm-up
 };
 
 }  // namespace anyk

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "dioid/dioid.h"
@@ -74,31 +73,21 @@ struct EnumOptions {
 /// same shared graph concurrently — but a single enumerator must stay
 /// confined to one thread at a time.
 ///
-/// Two pull styles:
-///  * Next() — convenience API returning a fresh ResultRow (allocates the
-///    row's vectors on every call).
-///  * NextInto(&row) — hot-path API writing into a caller-owned row whose
-///    buffers are reused across calls; after a warm-up call the per-result
-///    cost contains no heap allocation. The default implementation falls
-///    back to Next() for enumerators that don't override it; the harness
-///    and CLI drain through NextBatch below.
+/// One pull path: NextBatch is the only virtual. NextInto(&row) is
+/// NextBatch(&row, 1) and Next() is NextInto into a fresh row, so every
+/// pull style runs the same code. ANYK-PART, ANYK-REC and Batch rank a page
+/// and bind it in one step (RankThenBind, dp/stage_graph.h); the ranked
+/// union merges in it, pulling its parts a row at a time; the wrappers
+/// (MinWeightProjection, SharedVectorEnumerator, the shard feeds of
+/// anyk/shard_drain.h) forward or serve it.
 template <SelectiveDioid D>
 class Enumerator {
  public:
   virtual ~Enumerator() = default;
-  virtual std::optional<ResultRow<D>> Next() = 0;
 
-  /// Write the next answer into `*row`; false when exhausted.
-  virtual bool NextInto(ResultRow<D>* row) {
-    std::optional<ResultRow<D>> r = Next();
-    if (!r.has_value()) return false;
-    *row = std::move(*r);
-    return true;
-  }
-
-  /// Batched pull: write up to `n` answers into `rows[0..n)` (caller-owned,
-  /// buffers reused across calls like NextInto) and return how many were
-  /// written.
+  /// Write up to `n` answers into `rows[0..n)` (caller-owned; their buffers
+  /// are reused across calls, so after a warm-up call a pull performs no
+  /// heap allocation) and return how many were written.
   ///
   /// PARTIAL-FILL CONTRACT (pinned; invariants_test::NextBatchContract
   /// sweeps every strategy and wrapper against it):
@@ -115,23 +104,21 @@ class Enumerator {
   ///     is sticky.
   ///  4. rows[0..returned) are fully bound; rows beyond the returned count
   ///     are scratch with unspecified contents.
-  ///  5. Interleaving NextBatch with Next()/NextInto() is legal; the
-  ///     answer stream stays the same regardless of pull granularity.
-  ///
-  /// This base fallback inherits the contract from NextInto (its only
-  /// short-stop is NextInto returning false, i.e. exhaustion — clause 2
-  /// holds by construction). ANYK-PART, ANYK-REC (RecursiveEnumerator) and
-  /// the batch enumerator override it to rank the whole batch first and
-  /// then bind variables stage-wise across it via the bind kernels
-  /// (storage/kernels.h); the ranked union runs its merge in it (pulling
-  /// its parts a row at a time); the wrappers (MinWeightProjection,
-  /// SharedVectorEnumerator) forward it. Only ParallelUnionEnumerator keeps
-  /// this NextInto loop — the batch-forwarding lint rule
-  /// (scripts/anyk_lint.py) keeps it that way.
-  virtual size_t NextBatch(ResultRow<D>* rows, size_t n) {
-    size_t produced = 0;
-    while (produced < n && NextInto(&rows[produced])) ++produced;
-    return produced;
+  ///  5. Pages of any size, NextInto and Next() interleave into one answer
+  ///     stream. This holds by construction: the other two pulls are pages
+  ///     of one.
+  virtual size_t NextBatch(ResultRow<D>* rows, size_t n) = 0;
+
+  /// Write the next answer into `*row` (buffers reused like NextBatch's);
+  /// false when exhausted.
+  bool NextInto(ResultRow<D>* row) { return NextBatch(row, 1) == 1; }
+
+  /// The next answer in a fresh ResultRow (allocates the row's vectors on
+  /// every call), or nullopt when exhausted.
+  std::optional<ResultRow<D>> Next() {
+    ResultRow<D> row;
+    if (!NextInto(&row)) return std::nullopt;
+    return row;
   }
 };
 

@@ -77,15 +77,6 @@ class SharedVectorEnumerator : public Enumerator<D> {
       : rows_(std::move(rows)),
         end_(k_budget == 0 ? rows_->size()
                            : std::min(k_budget, rows_->size())) {}
-  std::optional<ResultRow<D>> Next() override {
-    if (cursor_ >= end_) return std::nullopt;
-    return (*rows_)[cursor_++];
-  }
-  bool NextInto(ResultRow<D>* row) override {
-    if (cursor_ >= end_) return false;
-    *row = (*rows_)[cursor_++];
-    return true;
-  }
   size_t NextBatch(ResultRow<D>* rows, size_t n) override {
     const size_t produced = std::min(n, end_ - cursor_);
     for (size_t b = 0; b < produced; ++b) rows[b] = (*rows_)[cursor_ + b];

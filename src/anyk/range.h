@@ -6,8 +6,8 @@
 #ifndef ANYK_ANYK_RANGE_H_
 #define ANYK_ANYK_RANGE_H_
 
+#include <cstddef>
 #include <iterator>
-#include <optional>
 
 #include "anyk/enumerator.h"
 #include "anyk/ranked_query.h"
@@ -30,8 +30,8 @@ class EnumeratorRange {
     Iterator() = default;  // end sentinel
     explicit Iterator(Enumerator<D>* e) : e_(e) { Advance(); }
 
-    reference operator*() const { return *current_; }
-    pointer operator->() const { return &*current_; }
+    reference operator*() const { return row_; }
+    pointer operator->() const { return &row_; }
 
     Iterator& operator++() {
       Advance();
@@ -45,11 +45,15 @@ class EnumeratorRange {
     bool operator!=(const Iterator& other) const { return !(*this == other); }
 
    private:
-    bool AtEnd() const { return e_ == nullptr || !current_.has_value(); }
-    void Advance() { current_ = e_->Next(); }
+    bool AtEnd() const { return e_ == nullptr; }
+    /// Refill the one row in place (its buffers are reused); past the last
+    /// answer the iterator becomes the end sentinel.
+    void Advance() {
+      if (!e_->NextInto(&row_)) e_ = nullptr;
+    }
 
-    Enumerator<D>* e_ = nullptr;
-    std::optional<ResultRow<D>> current_;
+    Enumerator<D>* e_ = nullptr;  // null at the end
+    ResultRow<D> row_;
   };
 
   Iterator begin() { return Iterator(e_); }

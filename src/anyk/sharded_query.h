@@ -20,11 +20,11 @@
 // with the caller's FULL k budget, since a single shard may supply the
 // entire top-k — and merges them with UnionEnumerator (dedup off: the
 // streams are disjoint) under the union-level k budget. With
-// Options::parallel_drain the merge instead runs through
-// ParallelUnionEnumerator (shard_drain.h): same output bytes, but each
-// shard session drains on its own worker thread so NextBatch pulls overlap
-// across shards. Either way the zero-global-alloc invariant holds per shard
-// session (their arenas are per-enumerator, unchanged).
+// Options::parallel_drain each shard session is wrapped in a ShardFeed
+// (shard_drain.h), a worker thread filling a ring, before the same union
+// merges them: same output bytes, but the shards rank on their own threads
+// while the caller merges. Either way the zero-global-alloc invariant holds
+// per shard session (their arenas are per-enumerator, unchanged).
 //
 // S == 1 is a true passthrough: no ShardedDatabase, no union — the single
 // PreparedQuery is built on the original database, so output, witnesses and
@@ -44,7 +44,7 @@
 // canonically for precisely this reason).
 //
 // anyk-lint: allow-file(heap-hot-path): all allocations here are prepare or
-// session-open time; the merged drain recycles rows by swap (union_anyk.h /
+// session-open time; the merged drain recycles rows by swap (union_anyk.h,
 // shard_drain.h) and the per-shard enumerators keep their arena discipline.
 
 #ifndef ANYK_ANYK_SHARDED_QUERY_H_
@@ -77,9 +77,9 @@ struct ShardedQueryOptions {
   /// individual shard builds run serially inside the waves.
   PrepareOptions prepare;
   size_t shards = 1;
-  /// Merge through ParallelUnionEnumerator: one worker thread per shard
-  /// session. Same output bytes as the serial union; sessions cost S
-  /// threads each while open.
+  /// Feed each shard session to the union through a ShardFeed: one worker
+  /// thread per shard session. Same output bytes as the serial union;
+  /// sessions cost S threads each while open.
   bool parallel_drain = false;
 };
 
@@ -132,11 +132,9 @@ class ShardedPreparedQuery {
     parts.reserve(shards_.size());
     for (const auto& shard : shards_) {
       parts.push_back(shard->NewSessionEnumerator(algo, opts));
-    }
-    if (opts_.parallel_drain) {
-      return EnumerationSession<D>(
-          std::make_unique<ParallelUnionEnumerator<D>>(std::move(parts),
-                                                       opts.k_budget));
+      if (opts_.parallel_drain) {
+        parts.back() = std::make_unique<ShardFeed<D>>(std::move(parts.back()));
+      }
     }
     return EnumerationSession<D>(std::make_unique<UnionEnumerator<D>>(
         std::move(parts), /*dedup=*/false, opts.k_budget));

@@ -1,10 +1,11 @@
 // Convenience wrappers for the common "give me the top k" use case.
 //
-// Both overloads take the budget-aware fast path: the k is passed down as
-// EnumOptions::k_budget (bounded candidate heaps, final-answer shortcuts,
+// Both TopK overloads take the budget-aware fast path: the k is passed down
+// as EnumOptions::k_budget (bounded candidate heaps, final-answer shortcuts,
 // batch partial sort — see docs/ARCHITECTURE.md, "Top-k fast path") and the
 // drain goes through NextBatch into pre-sized rows, so no ResultRow is ever
-// copied on its way into the returned vector.
+// copied on its way into the returned vector. CountOutput pages through
+// NextBatch too, reusing one page of rows.
 
 #ifndef ANYK_ANYK_TOPK_H_
 #define ANYK_ANYK_TOPK_H_
@@ -19,12 +20,13 @@
 namespace anyk {
 
 namespace internal {
+inline constexpr size_t kChunk = 1024;
+
 /// Chunked NextBatch drain of up to k answers into a fresh vector. Rows are
 /// written in place (no per-answer copy); chunking keeps the buffer
 /// proportional to the actual output when k overshoots it.
 template <SelectiveDioid D>
 std::vector<ResultRow<D>> DrainTopK(Enumerator<D>* e, size_t k) {
-  constexpr size_t kChunk = 1024;
   std::vector<ResultRow<D>> out;
   size_t produced = 0;
   while (produced < k) {
@@ -73,8 +75,13 @@ size_t CountOutput(const Database& db, const ConjunctiveQuery& q) {
   opts.algorithm = Algorithm::kBatchNoSort;
   opts.enum_opts.with_witness = false;
   RankedQuery<D> rq(db, q, opts);
+  std::vector<ResultRow<D>> page(internal::kChunk);
   size_t n = 0;
-  while (rq.Next()) ++n;
+  size_t got;
+  do {
+    got = rq.enumerator()->NextBatch(page.data(), page.size());
+    n += got;
+  } while (got == page.size());
   return n;
 }
 

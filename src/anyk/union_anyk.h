@@ -13,15 +13,20 @@
 // rows live in a per-source slot pool and the heap holds only (weight,
 // source) pairs. Rows move between the pool and the caller's buffer by
 // swap, so steady-state union enumeration performs no heap allocation of
-// its own (the sources' NextInto already reuse the slot's buffers). The
+// its own (the sources' one-row pulls reuse the slot's buffers). The
 // previously emitted result is kept only with dedup on.
 //
 // Look-ahead: a source is pulled one row ahead of the merge (its pending
 // row), and each source carries the full k in its EnumOptions.
 //
-// Batching: NextBatch runs the merge over the caller's rows and NextInto is
-// NextBatch(row, 1), so there is one merge path; the sources are pulled a
-// row at a time through their NextInto.
+// Batching: NextBatch runs the merge over the caller's rows; the sources are
+// pulled a row at a time (NextInto, a page of one), refilling each popped
+// source before the next pop.
+//
+// This is the one merge: the cycle decomposition's trees
+// (PreparedQuery::NewSession), the shards of a ShardedPreparedQuery and,
+// under parallel drain, the shards' worker-fed rings (anyk/shard_drain.h)
+// all go through it.
 //
 // Threading: the union owns its sub-enumerators, slots and heap outright;
 // one UnionEnumerator per session (PreparedQuery::NewSession builds the
@@ -33,7 +38,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -71,8 +75,6 @@ class UnionEnumerator : public Enumerator<D> {
     heap_.BuildFrom(std::move(initial));
   }
 
-  bool NextInto(ResultRow<D>* row) override { return NextBatch(row, 1) == 1; }
-
   size_t NextBatch(ResultRow<D>* rows, size_t n) override {
     size_t produced = 0;
     while (produced < n && !heap_.Empty() &&
@@ -95,12 +97,6 @@ class UnionEnumerator : public Enumerator<D> {
       ++produced;
     }
     return produced;
-  }
-
-  std::optional<ResultRow<D>> Next() override {
-    ResultRow<D> row;
-    if (!NextInto(&row)) return std::nullopt;
-    return row;
   }
 
   size_t duplicates_filtered() const { return duplicates_filtered_; }

@@ -103,13 +103,9 @@ class MinWeightProjection : public Enumerator<D> {
     enumerator_ = MakeEnumerator<D>(pruned_graph_.get(), algo, opts);
   }
 
-  /// Next free-variable assignment in rank order; weight is the minimum over
-  /// all full answers projecting to it. Witnesses are only meaningful for
-  /// atoms fully contained in the free part.
-  std::optional<ResultRow<D>> Next() override { return enumerator_->Next(); }
-  bool NextInto(ResultRow<D>* row) override {
-    return enumerator_->NextInto(row);
-  }
+  /// Free-variable assignments in rank order; each weight is the minimum
+  /// over all full answers projecting to it. Witnesses are only meaningful
+  /// for atoms fully contained in the free part.
   size_t NextBatch(ResultRow<D>* rows, size_t n) override {
     return enumerator_->NextBatch(rows, n);
   }

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -62,9 +63,10 @@ struct StageGraph {
     uint32_t num_slots = 0;   // number of child stages of this stage
 
     // Flat per-column segment pointers of the node's table (col_segs[c] ==
-    // table->ColumnData(c)), cached at build time: the per-answer BindState
-    // on the NextInto drain path reads one Value per column, and going
-    // through Relation each time costs two extra dependent loads per read.
+    // table->ColumnData(c)), cached at build time: BindState, which binds a
+    // one-answer page (every NextInto), reads one Value per column, and
+    // going through Relation each time costs two extra dependent loads per
+    // read.
     std::vector<const Value*> col_segs;
 
     // --- states (surviving rows) ---
@@ -498,6 +500,74 @@ void BindStateBatch(const StageGraph<D>& g, uint32_t stage,
       }
     }
   }
+}
+
+/// Reusable scratch of one page of ranked answers (RankThenBind): answer
+/// b's state at stage j is states[b * L + j] and its weight weights[b];
+/// ids and vals are BindStateBatch's scratch. The any-k enumerators seat it
+/// on their arena (`Alloc` = ArenaAllocator), so a page draws nothing from
+/// the global heap.
+template <SelectiveDioid D, template <class> class Alloc = std::allocator>
+struct AnswerPage {
+  explicit AnswerPage(const Alloc<uint32_t>& alloc = {})
+      : states(alloc), weights(alloc), ids(alloc), vals(alloc) {}
+  std::vector<uint32_t, Alloc<uint32_t>> states;
+  std::vector<typename D::Value, Alloc<typename D::Value>> weights;
+  std::vector<uint32_t, Alloc<uint32_t>> ids;
+  std::vector<Value, Alloc<Value>> vals;
+};
+
+/// The rank-then-bind step every stage-graph enumerator ends in (ANYK-PART,
+/// ANYK-REC, Batch): rank up to `n` answers, each by one
+/// `rank(states, &weight)` call that writes the answer's state at every
+/// stage into states[0..L) — its row of the page's matrix — and returns
+/// false once the output or the budget is exhausted; then size each row's
+/// reusable buffers and bind it. A one-answer page binds answer-major
+/// (BindState stage by stage): one row has no strided extraction or
+/// scratch round trip to amortize, and one-row pages are what NextInto and
+/// the unions' part pulls make. Longer pages bind stage-major through
+/// BindStateBatch. Returns the number of answers; short means exhausted
+/// (the contract in anyk/enumerator.h).
+template <SelectiveDioid D, template <class> class Alloc, class Rank>
+size_t RankThenBind(const StageGraph<D>& g, bool with_witness,
+                    ResultRow<D>* rows, size_t n, AnswerPage<D, Alloc>* page,
+                    Rank&& rank) {
+  const size_t L = g.stages.size();
+  size_t count = 0;
+  for (; count < n; ++count) {
+    if (page->weights.size() <= count) {  // grows only, like the rows
+      // An empty graph (a tree the cycle decomposition pruned) has no
+      // answers: stop before the first growth, so it touches no arena.
+      if (g.Empty()) break;
+      page->states.resize((count + 1) * L);
+      page->weights.resize(count + 1);
+    }
+    if (!rank(page->states.data() + count * L, &page->weights[count])) break;
+  }
+  for (size_t b = 0; b < count; ++b) {
+    ResultRow<D>& row = rows[b];
+    row.weight = page->weights[b];
+    row.assignment.assign(g.instance->num_vars, 0);
+    if (with_witness) {
+      row.witness.assign(g.instance->num_atoms, kNoRow);
+    } else {
+      row.witness.clear();
+    }
+  }
+  if (count == 1) {
+    for (uint32_t j = 0; j < L; ++j) {
+      BindState(g, j, page->states[j], &rows[0].assignment,
+                with_witness ? &rows[0].witness : nullptr);
+    }
+  } else if (count > 1) {
+    page->ids.resize(2 * count);
+    page->vals.resize(count);
+    for (uint32_t j = 0; j < L; ++j) {
+      BindStateBatch(g, j, page->states.data(), L, j, count, rows,
+                     with_witness, page->ids.data(), page->vals.data());
+    }
+  }
+  return count;
 }
 
 }  // namespace anyk

@@ -378,20 +378,26 @@ std::vector<SqlResult> Run(const Database& db, const SqlStatement& stmt) {
   opts.enum_opts.k_budget = stmt.limit;
   RankedQuery<D> rq(db, stmt.query, opts);
   std::vector<SqlResult> out;
-  while (stmt.limit == 0 || out.size() < stmt.limit) {
-    auto row = rq.Next();
-    if (!row) break;
-    SqlResult res;
-    res.weight = row->weight;
-    if (stmt.select_vars.empty()) {
-      res.values = row->assignment;
-    } else {
-      for (uint32_t v : stmt.select_vars) {
-        res.values.push_back(row->assignment[v]);
+  // The budget ends the stream after LIMIT answers; pages reuse their rows.
+  constexpr size_t kPage = 1024;
+  std::vector<ResultRow<D>> page(
+      stmt.limit == 0 ? kPage : std::min<size_t>(stmt.limit, kPage));
+  size_t got;
+  do {
+    got = rq.enumerator()->NextBatch(page.data(), page.size());
+    for (size_t b = 0; b < got; ++b) {
+      SqlResult res;
+      res.weight = page[b].weight;
+      if (stmt.select_vars.empty()) {
+        res.values = page[b].assignment;
+      } else {
+        for (uint32_t v : stmt.select_vars) {
+          res.values.push_back(page[b].assignment[v]);
+        }
       }
+      out.push_back(std::move(res));
     }
-    out.push_back(std::move(res));
-  }
+  } while (got == page.size());
   return out;
 }
 

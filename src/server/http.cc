@@ -4,8 +4,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -17,6 +19,9 @@ namespace {
 
 constexpr size_t kMaxHeaderBytes = 64 * 1024;
 constexpr size_t kMaxBodyBytes = 1024 * 1024;
+// kRequestDeadlineMs (http.h) bounds the whole read; waits for bytes come in
+// slices of this length so a stop request is seen within one.
+constexpr int kWaitSliceMs = 100;
 constexpr const char* kHeaderTooLarge =
     "ERROR,400,request header section over 64 KiB\n";
 
@@ -87,6 +92,7 @@ const char* StatusReason(int status) {
     case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
+    case 408: return "Request Timeout";
     case 409: return "Conflict";
     case 410: return "Gone";
     case 429: return "Too Many Requests";
@@ -118,13 +124,34 @@ bool HttpConnection::FillBuffer() {
     buf_pos_ = 0;
   }
   char chunk[4096];
-  ssize_t n;
-  do {
-    n = ::recv(fd_, chunk, sizeof(chunk), 0);
-  } while (n < 0 && errno == EINTR);
-  if (n <= 0) return false;  // EOF or error
-  buf_.append(chunk, static_cast<size_t>(n));
-  return true;
+  for (;;) {
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), MSG_DONTWAIT);
+    if (n > 0) {
+      buf_.append(chunk, static_cast<size_t>(n));
+      return true;
+    }
+    if (n == 0) return false;  // EOF
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
+    if (stop_ != nullptr && stop_->load(std::memory_order_relaxed)) {
+      return false;
+    }
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline_ - std::chrono::steady_clock::now());
+    if (left.count() <= 0) {
+      const std::string body = "ERROR,408,request not complete within " +
+                               std::to_string(kRequestDeadlineMs / 1000) +
+                               " s\n";
+      WriteError(408, body.c_str());
+      return false;
+    }
+    struct pollfd pfd;
+    pfd.fd = fd_;
+    pfd.events = POLLIN;
+    pfd.revents = 0;
+    ::poll(&pfd, 1,
+           static_cast<int>(std::min<int64_t>(left.count(), kWaitSliceMs)));
+  }
 }
 
 bool HttpConnection::ReadLine(std::string* line) {
@@ -138,7 +165,7 @@ bool HttpConnection::ReadLine(std::string* line) {
       return true;
     }
     if (buf_.size() - buf_pos_ > kMaxHeaderBytes) {
-      WriteBadRequest(kHeaderTooLarge);
+      WriteError(400, kHeaderTooLarge);
       return false;
     }
     if (!FillBuffer()) return false;
@@ -154,14 +181,18 @@ bool HttpConnection::ReadExact(size_t n, std::string* out) {
   return true;
 }
 
-std::optional<HttpRequest> HttpConnection::ReadRequest() {
+std::optional<HttpRequest> HttpConnection::ReadRequest(
+    const std::atomic<bool>* stop) {
+  deadline_ = std::chrono::steady_clock::now() +
+              std::chrono::milliseconds(kRequestDeadlineMs);
+  stop_ = stop;
   std::string line;
   if (!ReadLine(&line)) return std::nullopt;
   // Request line: METHOD SP target SP HTTP/1.x
   const size_t sp1 = line.find(' ');
   const size_t sp2 = line.rfind(' ');
   if (sp1 == std::string::npos || sp2 == sp1) {
-    WriteBadRequest("ERROR,400,malformed request line\n");
+    WriteError(400, "ERROR,400,malformed request line\n");
     return std::nullopt;
   }
   HttpRequest req;
@@ -185,7 +216,7 @@ std::optional<HttpRequest> HttpConnection::ReadRequest() {
     if (line.empty()) break;
     header_bytes += line.size();
     if (header_bytes > kMaxHeaderBytes) {
-      WriteBadRequest(kHeaderTooLarge);
+      WriteError(400, kHeaderTooLarge);
       return std::nullopt;
     }
     const size_t colon = line.find(':');
@@ -208,7 +239,7 @@ std::optional<HttpRequest> HttpConnection::ReadRequest() {
     // request on a keep-alive connection.
     size_t n = 0;
     if (!ParseSize(clen->second, &n) || n > kMaxBodyBytes) {
-      WriteBadRequest("ERROR,400,bad content-length\n");
+      WriteError(400, "ERROR,400,bad content-length\n");
       return std::nullopt;
     }
     if (!ReadExact(n, &req.body)) return std::nullopt;
@@ -223,12 +254,12 @@ std::optional<HttpRequest> HttpConnection::ReadRequest() {
   return req;
 }
 
-void HttpConnection::WriteBadRequest(const char* body) {
-  HttpResponse bad;
-  bad.status = 400;
-  bad.body = body;
-  bad.close_connection = true;
-  WriteResponse(bad);
+void HttpConnection::WriteError(int status, const char* body) {
+  HttpResponse err;
+  err.status = status;
+  err.body = body;
+  err.close_connection = true;
+  WriteResponse(err);
 }
 
 bool HttpConnection::WriteAll(const char* data, size_t n) {

@@ -11,6 +11,8 @@
 #ifndef ANYK_SERVER_HTTP_H_
 #define ANYK_SERVER_HTTP_H_
 
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <map>
 #include <optional>
@@ -53,9 +55,15 @@ std::string UrlDecode(const std::string& s);
 /// Reason phrase for the status codes the server uses.
 const char* StatusReason(int status);
 
+/// A request must arrive whole within this long of ReadRequest's start (the
+/// first byte seen); a client that stalls mid-request gets a 408 with
+/// Connection: close instead of pinning the worker that reads it.
+inline constexpr int kRequestDeadlineMs = 5000;
+
 /// Buffered reader/writer over one accepted connection. Reads are bounded
-/// (64 KiB per request line/header block, 1 MiB bodies) so a misbehaving
-/// client cannot balloon memory.
+/// (64 KiB per request line/header block, 1 MiB bodies, kRequestDeadlineMs
+/// per request) so a misbehaving client can neither balloon memory nor
+/// hold a worker.
 class HttpConnection {
  public:
   /// Takes ownership of `fd` (closed on destruction).
@@ -69,9 +77,12 @@ class HttpConnection {
   /// again) — buffered leftover bytes count as readable.
   bool Poll(int timeout_ms);
 
-  /// Parse the next request. nullopt on clean EOF or a malformed/oversized
-  /// request (after best-effort writing a 400); the connection is then dead.
-  std::optional<HttpRequest> ReadRequest();
+  /// Parse the next request. nullopt on clean EOF, on a malformed/oversized
+  /// request (after best-effort writing a 400), past kRequestDeadlineMs
+  /// (after a 408), or once `*stop` is set, which is checked at least every
+  /// 100 ms while waiting for bytes; the connection is then dead.
+  std::optional<HttpRequest> ReadRequest(
+      const std::atomic<bool>* stop = nullptr);
 
   /// Serialize and send a response. False on write error (connection dead).
   bool WriteResponse(const HttpResponse& resp);
@@ -81,14 +92,20 @@ class HttpConnection {
   /// also once 64 KiB arrive without a line end — then after writing a 400.
   bool ReadLine(std::string* line);
   bool ReadExact(size_t n, std::string* out);
+  /// Append the next bytes received. Calls recv first (an arrived request
+  /// costs no poll), then waits in polls of at most 100 ms; false on EOF,
+  /// error, stop, or the request deadline — the last after a 408.
   bool FillBuffer();
-  /// Best-effort 400 with `body` and Connection: close.
-  void WriteBadRequest(const char* body);
+  /// Best-effort `status` with `body` and Connection: close.
+  void WriteError(int status, const char* body);
   bool WriteAll(const char* data, size_t n);
 
   int fd_;
   std::string buf_;   // bytes received but not yet consumed
   size_t buf_pos_ = 0;
+  // The request being read: its deadline and the caller's stop flag.
+  std::chrono::steady_clock::time_point deadline_;
+  const std::atomic<bool>* stop_ = nullptr;
 };
 
 }  // namespace server

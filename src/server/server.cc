@@ -241,7 +241,8 @@ void AnykServer::Impl::WorkerLoop() {
 void AnykServer::Impl::ServeConnection(int fd) {
   HttpConnection conn(fd);
   // Keep-alive loop: serve requests until the client closes, asks to close,
-  // or idles for ~30s (a stuck client must not pin a worker forever).
+  // idles for ~30s between requests, or stalls mid-request past
+  // kRequestDeadlineMs (a stuck client must not pin a worker forever).
   int idle_polls = 0;
   while (!stop.load(std::memory_order_relaxed) && idle_polls < 300) {
     if (!conn.Poll(100)) {
@@ -249,7 +250,7 @@ void AnykServer::Impl::ServeConnection(int fd) {
       continue;
     }
     idle_polls = 0;
-    std::optional<HttpRequest> req = conn.ReadRequest();
+    std::optional<HttpRequest> req = conn.ReadRequest(&stop);
     if (!req.has_value()) return;
     requests.fetch_add(1, std::memory_order_relaxed);
     cursors.SweepExpired();

@@ -8,6 +8,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -582,6 +583,54 @@ TEST(InvariantTest, NextBatchInterleavesWithNextInto) {
     }
     EXPECT_EQ(got_total, total) << subject.name;
   }
+}
+
+/// Answers 0, 1, ..., total - 1 (weight i, assignment {i}) from a
+/// test-local enumerator that overrides NextBatch and nothing else.
+class CountingEnumerator final : public Enumerator<TropicalDioid> {
+ public:
+  explicit CountingEnumerator(size_t total) : total_(total) {}
+
+  size_t NextBatch(ResultRow<TropicalDioid>* rows, size_t n) override {
+    size_t b = 0;
+    for (; b < n && next_ < total_; ++b, ++next_) {
+      rows[b].weight = static_cast<double>(next_);
+      rows[b].assignment.assign(1, static_cast<Value>(next_));
+      rows[b].witness.clear();
+    }
+    return b;
+  }
+
+ private:
+  size_t total_;
+  size_t next_ = 0;
+};
+
+TEST(InvariantTest, NextAndNextIntoArePagesOfOne) {
+  // NextBatch is the only virtual: Next() and NextInto() reach it as pages
+  // of one, so rounds of Next, NextInto and a page of 3 through the base
+  // interface read one stream, and exhaustion is sticky across all three.
+  CountingEnumerator counting(43);  // 8 full rounds, then a short page
+  Enumerator<TropicalDioid>& e = counting;
+  std::vector<Value> seen;
+  ResultRow<TropicalDioid> one;
+  std::vector<ResultRow<TropicalDioid>> page(3);
+  while (true) {
+    const std::optional<ResultRow<TropicalDioid>> next = e.Next();
+    if (!next.has_value()) break;
+    seen.push_back(next->assignment.at(0));
+    if (!e.NextInto(&one)) break;
+    seen.push_back(one.assignment.at(0));
+    const size_t got = e.NextBatch(page.data(), page.size());
+    for (size_t b = 0; b < got; ++b) seen.push_back(page[b].assignment.at(0));
+    if (got < page.size()) break;
+  }
+  std::vector<Value> want(43);
+  for (size_t i = 0; i < want.size(); ++i) want[i] = static_cast<Value>(i);
+  EXPECT_EQ(seen, want);
+  EXPECT_FALSE(e.Next().has_value());
+  EXPECT_FALSE(e.NextInto(&one));
+  EXPECT_EQ(e.NextBatch(page.data(), page.size()), 0u);
 }
 
 TEST(InvariantTest, ZeroHeapAllocationsDuringBatchedEnumeration) {

@@ -9,11 +9,18 @@
 // page size or interleaving. This test is tier1 and therefore also runs
 // under the TSan CI job, which is what checks the server's locking for real.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -27,6 +34,7 @@
 #include "dioid/tropical.h"
 #include "plan/cost_model.h"
 #include "query/sql.h"
+#include "server/http.h"
 #include "server/http_client.h"
 #include "server/server.h"
 #include "storage/database.h"
@@ -622,6 +630,100 @@ TEST(ServerTest, JsonFormatPagesParse) {
   EXPECT_NE(resp.body.find("\"cache\": \"miss\""), std::string::npos)
       << resp.body;
   srv.Stop();
+}
+
+/// A bare client socket on 127.0.0.1:port, for requests HttpClient would
+/// not send (partial ones); closed on destruction.
+class RawClient {
+ public:
+  explicit RawClient(int port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+  }
+  ~RawClient() { Close(); }
+  RawClient(const RawClient&) = delete;
+  RawClient& operator=(const RawClient&) = delete;
+
+  void Send(const std::string& bytes) {
+    EXPECT_EQ(::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+  }
+  /// Everything received until the server closes, or until `timeout_ms`
+  /// passes without a byte.
+  std::string ReadAll(int timeout_ms) {
+    timeval tv{timeout_ms / 1000, (timeout_ms % 1000) * 1000};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    std::string out;
+    char chunk[4096];
+    ssize_t n;
+    while ((n = ::recv(fd_, chunk, sizeof(chunk), 0)) > 0) {
+      out.append(chunk, static_cast<size_t>(n));
+    }
+    return out;
+  }
+  void Close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_;
+};
+
+TEST(ServerTest, StalledRequestTimesOutAndDoesNotBlockStop) {
+  // One worker and a client that sends a request line and goes silent:
+  // within the request deadline the worker gives up on it with a 408 and
+  // serves the next client, and Stop() returns while a stalled client is
+  // still connected.
+  using server::kRequestDeadlineMs;
+  constexpr int kSlackMs = 3000;
+  ServerOptions opts;
+  opts.workers = 1;
+  AnykServer srv(TestDatabase(), opts);
+  srv.Start();
+  const int port = srv.bound_port();
+
+  RawClient stalled(port);
+  stalled.Send("GET /healthz HTTP/1.1\r\n");
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto asked = std::chrono::steady_clock::now();
+  RawClient healthz(port);
+  healthz.Send("GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+  const std::string answer = healthz.ReadAll(kRequestDeadlineMs + kSlackMs);
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - asked);
+  EXPECT_EQ(answer.rfind("HTTP/1.1 200 ", 0), 0u)
+      << "a stalled client kept the only worker: " << answer;
+  EXPECT_LT(waited.count(), kRequestDeadlineMs + kSlackMs);
+  const std::string timed_out = stalled.ReadAll(1000);
+  EXPECT_EQ(timed_out.rfind("HTTP/1.1 408 ", 0), 0u) << timed_out;
+  EXPECT_NE(timed_out.find("Connection: close\r\n"), std::string::npos);
+
+  // A second stalled client holds the worker inside a request read; the
+  // watchdog gives Stop() 1 s, then frees the clients so a Stop() stuck on
+  // them still returns and the failure is reported, not hung.
+  RawClient stalled_again(port);
+  stalled_again.Send("GET /healthz HTTP/1.1\r\n");
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    srv.Stop();
+    stopped = true;
+  });
+  const auto stop_asked = std::chrono::steady_clock::now();
+  while (!stopped && std::chrono::steady_clock::now() - stop_asked <
+                         std::chrono::seconds(1)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(stopped) << "Stop() waited on a stalled client";
+  stalled_again.Close();
+  stalled.Close();
+  healthz.Close();
+  stopper.join();
 }
 
 }  // namespace

@@ -6,16 +6,23 @@
 // cross-shard decision.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "anyk/factory.h"
+#include "anyk/shard_drain.h"
 #include "anyk/sharded_query.h"
 #include "dioid/tropical.h"
 #include "query/cq.h"
@@ -362,31 +369,168 @@ TEST(ShardedQueryTest, KBudgetedUnionReturnsTopK) {
   }
 }
 
-TEST(ShardedQueryTest, ParallelDrainMatchesSerialMerge) {
-  Database db = MakePathDb(150, 8, 13);
-  auto q = ConjunctiveQuery::Path(2);
+/// Every answer of `session`, pulled in pages of `page` rows.
+std::vector<ResultRow<D>> DrainPages(EnumerationSession<D> session,
+                                     size_t page) {
+  std::vector<ResultRow<D>> out;
+  std::vector<ResultRow<D>> rows(page);
+  size_t got;
+  do {
+    got = session.NextBatch(rows.data(), page);
+    out.insert(out.end(), rows.begin(),
+               rows.begin() + static_cast<ptrdiff_t>(got));
+  } while (got == page);
+  return out;
+}
+
+/// The parallel drain (a ShardFeed per shard under the one union) against
+/// the serial merge drained row by row: every ranked algorithm, pages of 1,
+/// 5 and 64, union budgets 0 and 37 — byte-identical, witnesses included.
+void ExpectParallelDrainMatchesSerial(const Database& db,
+                                      const ConjunctiveQuery& q,
+                                      size_t shards) {
   typename ShardedPreparedQuery<D>::Options serial_opts;
-  serial_opts.shards = 4;
+  serial_opts.shards = shards;
   ShardedPreparedQuery<D> serial(db, q, serial_opts);
   typename ShardedPreparedQuery<D>::Options par_opts = serial_opts;
   par_opts.parallel_drain = true;
   ShardedPreparedQuery<D> parallel(db, q, par_opts);
-  // Byte-identical: the parallel merge runs the same heap discipline over
-  // the same per-shard streams, only production overlaps.
-  auto a = serial.NewSession(Algorithm::kLazy);
-  auto b = parallel.NewSession(Algorithm::kLazy);
-  ResultRow<D> ra, rb;
-  size_t n = 0;
-  while (true) {
-    const bool ga = a.NextInto(&ra);
-    const bool gb = b.NextInto(&rb);
-    ASSERT_EQ(ga, gb) << "at row " << n;
-    if (!ga) break;
-    EXPECT_EQ(ra.weight, rb.weight) << "at row " << n;
-    EXPECT_EQ(ra.assignment, rb.assignment) << "at row " << n;
-    ++n;
+  for (Algorithm algo : AllRankedAlgorithms()) {
+    for (size_t budget : {size_t{0}, size_t{37}}) {
+      EnumOptions eopts;
+      eopts.k_budget = budget;
+      const std::vector<ResultRow<D>> want =
+          DrainPages(serial.NewSession(algo, eopts), 1);
+      // The full output exceeds the budget, so the budget cuts it.
+      ASSERT_EQ(want.size() > 37, budget == 0) << AlgorithmName(algo);
+      for (size_t page : {size_t{1}, size_t{5}, size_t{64}}) {
+        const std::vector<ResultRow<D>> got =
+            DrainPages(parallel.NewSession(algo, eopts), page);
+        const std::string where = std::string(AlgorithmName(algo)) +
+                                  " budget=" + std::to_string(budget) +
+                                  " page=" + std::to_string(page);
+        ASSERT_EQ(got.size(), want.size()) << where;
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].weight, want[i].weight) << where << " row " << i;
+          ASSERT_EQ(got[i].assignment, want[i].assignment)
+              << where << " row " << i;
+          ASSERT_EQ(got[i].witness, want[i].witness) << where << " row " << i;
+        }
+      }
+    }
   }
-  EXPECT_GT(n, 0u);
+}
+
+/// A 4-cycle over R1..R4 with values in [0, domain): a cycle union per
+/// shard, and with more shards than values some shards hold no rows.
+Database MakeCycleDb(size_t rows, uint64_t domain, uint64_t seed) {
+  Database db;
+  for (int i = 1; i <= 4; ++i) {
+    db.AddRelation("R" + std::to_string(i), 2);
+  }
+  uint64_t state = seed;
+  auto next = [&state]() {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  for (int i = 1; i <= 4; ++i) {
+    Relation& r = db.GetMutable("R" + std::to_string(i));
+    for (size_t j = 0; j < rows; ++j) {
+      r.Add({static_cast<Value>(next() % domain),
+             static_cast<Value>(next() % domain)},
+            static_cast<double>(next() % 100));
+    }
+  }
+  return db;
+}
+
+TEST(ShardedQueryTest, ParallelDrainMatchesSerialMerge) {
+  ExpectParallelDrainMatchesSerial(MakePathDb(150, 8, 13),
+                                   ConjunctiveQuery::Path(2), 4);
+}
+
+TEST(ShardedQueryTest, ParallelDrainMatchesSerialMergeOnCycleWithEmptyShards) {
+  const Database db = MakeCycleDb(40, 5, 23);
+  const auto q = ConjunctiveQuery::Cycle(4);
+  // Only 5 partition values over 7 shards: at least 2 shards hold no rows
+  // of a partitioned relation, so their streams are empty.
+  ShardedDatabase layout(db, q, 7);
+  size_t empty = 0;
+  for (size_t s = 0; s < 7; ++s) {
+    bool some_relation_empty = false;
+    for (int i = 1; i <= 4; ++i) {
+      some_relation_empty =
+          some_relation_empty ||
+          layout.shard(s).Get("R" + std::to_string(i)).NumRows() == 0;
+    }
+    if (some_relation_empty) ++empty;
+  }
+  ASSERT_GE(empty, 2u);
+  ExpectParallelDrainMatchesSerial(db, q, 7);
+}
+
+TEST(ShardedQueryTest, ParallelSessionClosesWhileWorkersWaitOnFullRings) {
+  // Every shard holds far more answers than a ring's 64 slots, so after one
+  // page every worker fills its ring and waits for room. Closing the
+  // session must stop and join them.
+  const Database db = MakePathDb(400, 40, 31);
+  const auto q = ConjunctiveQuery::Path(2);
+  typename ShardedPreparedQuery<D>::Options opts;
+  opts.shards = 3;
+  opts.parallel_drain = true;
+  ShardedPreparedQuery<D> parallel(db, q, opts);
+  std::vector<ResultRow<D>> probe(100);
+  for (size_t s = 0; s < 3; ++s) {
+    auto shard_session = parallel.shard(s).NewSession(Algorithm::kLazy);
+    ASSERT_EQ(shard_session.NextBatch(probe.data(), probe.size()),
+              probe.size())
+        << "shard " << s << " cannot fill its ring";
+  }
+  std::atomic<bool> closed{false};
+  std::thread closer([&] {
+    auto session = std::make_unique<EnumerationSession<D>>(
+        parallel.NewSession(Algorithm::kLazy));
+    std::vector<ResultRow<D>> page(5);
+    EXPECT_EQ(session->NextBatch(page.data(), page.size()), page.size());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    session.reset();
+    closed = true;
+  });
+  const auto start = std::chrono::steady_clock::now();
+  while (!closed &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (!closed) {
+    ADD_FAILURE() << "closing a parallel session did not return in 10 s";
+    std::abort();  // the closer is stuck in a join; joining it would hang
+  }
+  closer.join();
+}
+
+TEST(ShardedQueryTest, ShardFeedRethrowsWhatItsSourceThrew) {
+  // Ranks answers 0, 1, 2, then throws on the feed's worker thread: the
+  // consumer gets the three rows first, then the exception.
+  class ThrowsAfterThree final : public Enumerator<D> {
+   public:
+    size_t NextBatch(ResultRow<D>* rows, size_t n) override {
+      for (size_t b = 0; b < n; ++b) {
+        if (next_ == 3) throw std::runtime_error("source failed");
+        rows[b].weight = static_cast<double>(next_++);
+      }
+      return n;
+    }
+
+   private:
+    size_t next_ = 0;
+  };
+  ShardFeed<D> feed(std::make_unique<ThrowsAfterThree>());
+  ResultRow<D> row;
+  for (double want : {0.0, 1.0, 2.0}) {
+    ASSERT_TRUE(feed.NextInto(&row));
+    EXPECT_EQ(row.weight, want);
+  }
+  EXPECT_THROW(feed.NextInto(&row), std::runtime_error);
 }
 
 TEST(ShardedQueryTest, AutoResolvesAgainstCrossShardDecision) {
@@ -413,22 +557,7 @@ TEST(ShardedQueryTest, AutoResolvesAgainstCrossShardDecision) {
 TEST(ShardedQueryTest, CycleUnionQueryShards) {
   // 4-cycle: per-shard plans are themselves unions (cycle decomposition);
   // the shard union nests over them.
-  Database db;
-  for (int i = 1; i <= 4; ++i) {
-    db.AddRelation("R" + std::to_string(i), 2);
-  }
-  uint64_t state = 23;
-  auto next = [&state]() {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return state >> 33;
-  };
-  for (int i = 1; i <= 4; ++i) {
-    Relation& r = db.GetMutable("R" + std::to_string(i));
-    for (size_t j = 0; j < 40; ++j) {
-      r.Add({static_cast<Value>(next() % 5), static_cast<Value>(next() % 5)},
-            static_cast<double>(next() % 100));
-    }
-  }
+  const Database db = MakeCycleDb(40, 5, 23);
   auto q = ConjunctiveQuery::Cycle(4);
   PreparedQuery<D> plain(db, q);
   EXPECT_EQ(plain.plan(), QueryPlan::kCycleUnion);
